@@ -28,14 +28,14 @@ cargo test -q --offline --test sync_backends --features trace
 
 echo "== model check (bounded-preemption interleaving exploration) =="
 # Exhaustive DFS over the lock-free core's protocols (offload ring,
-# Algorithm 2 fallback sweep, dedup window) ...
+# Algorithm 2 fallback sweep, dedup window, request slab, rx ring) ...
 cargo test -q --offline -p fairmpi-check 2>&1 | tee /tmp/fairmpi_check.log
 ! grep -q "FAILED" /tmp/fairmpi_check.log
-# ... and the checker must have teeth: all four seeded mutant bugs caught
+# ... and the checker must have teeth: all five seeded mutant bugs caught
 # with reproducible counterexample schedules.
 cargo test --offline -p fairmpi-check --test mutants all_seeded_mutants_caught -- --nocapture \
     > /tmp/fairmpi_mutants.log 2>&1
-grep -q "all 4 seeded mutants caught" /tmp/fairmpi_mutants.log
+grep -q "all 5 seeded mutants caught" /tmp/fairmpi_mutants.log
 
 echo "== fmt =="
 cargo fmt --all --check
@@ -108,6 +108,17 @@ for seed in 3 5 7; do
     [ -n "$sent" ] && [ "$sent" -eq "$recv" ]
     grep -Eq '^fairmpi_chaos_drops [1-9]' "$smoke_dir/chaos_$seed.prom"
     grep -Eq '^fairmpi_retransmits [1-9]' "$smoke_dir/chaos_$seed.prom"
+done
+
+echo "== perfbench correctness smoke =="
+# Two-second runs of every benchmark workload on the native runtime: each
+# must report that every message and put it checked arrived intact. The
+# 30-second runs BENCHMARK.json declares are the measurement itself.
+for workload in eager cris rma; do
+    CARGO_TARGET_DIR=$PWD/target/perfbench python3 perfbench/run.py \
+        --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+        > "$smoke_dir/perfbench_$workload.log"
+    tail -n 1 "$smoke_dir/perfbench_$workload.log" | grep -q '"correct": true'
 done
 
 echo "CI OK"

@@ -18,7 +18,11 @@
 //! * a miniature of the paper's Algorithm 2 progress loop
 //!   (dedicated-instance drain with round-robin fallback sweep),
 //! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
-//!   suppression under racing deliveries.
+//!   suppression under racing deliveries,
+//! * the real request slab (`fairmpi::RequestTable`): completions, reaps
+//!   of cloned handles and stale tokens racing slot reuse,
+//! * a real network context's rx ring: wire posts racing the owner's
+//!   batch drain.
 //!
 //! The [`mutants`] module carries deliberately-broken variants of each
 //! algorithm; the test suite asserts the checker produces a reproducible
@@ -59,6 +63,25 @@ pub use fairmpi_sync::model::{
 };
 
 pub mod mutants;
+
+/// Assert that `outcome` passed after exhausting its bounded schedule
+/// space; returns the number of schedules explored.
+pub fn assert_exhaustive(outcome: &Outcome, what: &str) -> usize {
+    outcome.assert_pass(what);
+    match *outcome {
+        Outcome::Pass {
+            schedules,
+            complete,
+        } => {
+            assert!(
+                complete,
+                "'{what}': bounded schedule space was not exhausted"
+            );
+            schedules
+        }
+        Outcome::Fail(_) => unreachable!("assert_pass returned on a failure"),
+    }
+}
 
 /// Assert that `outcome` is a failure and that replaying its counterexample
 /// schedule reproduces a failure. Returns the counterexample for further

@@ -8,7 +8,7 @@
 //! evidence that the checker would catch the corresponding real
 //! regression. **Nothing in this module is used by the runtime.**
 //!
-//! The four seeded bugs:
+//! The five seeded bugs:
 //!
 //! 1. [`RingBug::PublishBeforeWrite`] — the MPSC ring publishes a slot's
 //!    sequence number before storing the value, so a concurrent consumer
@@ -23,6 +23,10 @@
 //! 4. [`RacyDedup`] — receiver-side duplicate suppression as a
 //!    check-then-insert across two lock acquisitions, so two racing
 //!    deliveries of the same `tseq` are both accepted.
+//! 5. [`MiniSlab`] with `reap_keeps_generation = true` — reaping a
+//!    finished request recycles its slot without advancing the slot's
+//!    generation, so the next occupant's token equals the old one and a
+//!    late completion of the old request lands on the new one.
 
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use fairmpi_sync::Mutex;
@@ -266,5 +270,83 @@ impl RacyDedup {
 impl Default for RacyDedup {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Request slab slot (mirrors fairmpi::RequestTable)
+// ---------------------------------------------------------------------------
+
+const SLAB_PENDING: u64 = 0;
+const SLAB_COMPLETE: u64 = 1;
+
+/// One slot of the request slab: a state word `generation << 2 | status`,
+/// completions that compare-and-swap from `(generation, PENDING)`, and a
+/// reap that claims a finished request by moving the word to the next
+/// generation. A token is the generation (the miniature has one slot, so
+/// no index). With `reap_keeps_generation` the reap resets the status but
+/// keeps the generation: the seeded bug.
+pub struct MiniSlab {
+    state: AtomicU64,
+    reap_keeps_generation: bool,
+}
+
+impl MiniSlab {
+    /// A slot whose first occupant has generation 1.
+    pub fn new(reap_keeps_generation: bool) -> Self {
+        Self {
+            state: AtomicU64::new(1 << 2 | SLAB_PENDING),
+            reap_keeps_generation,
+        }
+    }
+
+    /// Hand the slot out: the token of its current (pending) generation.
+    pub fn alloc(&self) -> u64 {
+        self.state.load(Ordering::SeqCst) >> 2
+    }
+
+    /// Complete the request `token`; false if it is stale or finished.
+    pub fn complete(&self, token: u64) -> bool {
+        self.state
+            .compare_exchange(
+                token << 2 | SLAB_PENDING,
+                token << 2 | SLAB_COMPLETE,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_ok()
+    }
+
+    /// `None` while `token` is pending, `Some(true)` when this call reaped
+    /// it, `Some(false)` when the token is stale.
+    pub fn try_reap(&self, token: u64) -> Option<bool> {
+        let state = self.state.load(Ordering::SeqCst);
+        if state >> 2 != token {
+            return Some(false);
+        }
+        if state & 0b11 == SLAB_PENDING {
+            return None;
+        }
+        let next = if self.reap_keeps_generation {
+            token
+        } else {
+            token + 1
+        };
+        Some(
+            self.state
+                .compare_exchange(
+                    state,
+                    next << 2 | SLAB_PENDING,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                )
+                .is_ok(),
+        )
+    }
+
+    /// Whether `token` is still pending (`None` once it is stale).
+    pub fn is_pending(&self, token: u64) -> Option<bool> {
+        let state = self.state.load(Ordering::SeqCst);
+        (state >> 2 == token).then_some(state & 0b11 == SLAB_PENDING)
     }
 }

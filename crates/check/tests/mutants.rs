@@ -1,9 +1,9 @@
-//! The checker's own regression suite: four deliberately seeded
+//! The checker's own regression suite: five deliberately seeded
 //! concurrency bugs (see `fairmpi_check::mutants`), each of which the
 //! checker must catch with a reproducible counterexample. A checker that
 //! passes correct code proves nothing unless it also fails broken code.
 
-use fairmpi_check::mutants::{MiniPool, ModelRing, Pop, RacyDedup, RingBug};
+use fairmpi_check::mutants::{MiniPool, MiniSlab, ModelRing, Pop, RacyDedup, RingBug};
 use fairmpi_check::{assert_reproducible_failure, spawn, yield_now, Checker, Counterexample};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,6 +114,40 @@ fn dedup_check_then_insert() {
     );
 }
 
+/// A late duplicate completion races the reap and the slot's reuse: with
+/// a reap that keeps the generation, the recycled slot's new token equals
+/// the old one and the stale completion lands on the new request.
+fn slab_scenario(reap_keeps_generation: bool) {
+    let slab = Arc::new(MiniSlab::new(reap_keeps_generation));
+    let old = slab.alloc();
+    let complete_old = || {
+        let slab = Arc::clone(&slab);
+        spawn(move || slab.complete(old))
+    };
+    let (completer, duplicate) = (complete_old(), complete_old());
+    let mut reaped = slab.try_reap(old);
+    let first = completer.join();
+    if reaped.is_none() {
+        reaped = slab.try_reap(old);
+    }
+    assert_eq!(reaped, Some(true), "the finished request is reaped");
+    let new = slab.alloc();
+    let second = duplicate.join();
+    assert!(
+        first ^ second,
+        "exactly one completion of the old request lands"
+    );
+    assert_eq!(
+        slab.is_pending(new),
+        Some(true),
+        "a stale completion landed on the recycled slot"
+    );
+}
+
+fn slab_reap_keeps_generation() {
+    slab_scenario(true);
+}
+
 // --- catchers: explore, then replay the counterexample verbatim ---
 
 fn catch(what: &str, scenario: fn()) -> Counterexample {
@@ -147,21 +181,27 @@ fn mutant_dedup_check_then_insert_caught() {
     catch("dedup check-then-insert", dedup_check_then_insert);
 }
 
+#[test]
+fn mutant_slab_reap_keeps_generation_caught() {
+    catch("slab reap-keeps-generation", slab_reap_keeps_generation);
+}
+
 /// The gate ci.sh greps for: every seeded mutant produced a reproducible
 /// counterexample.
 #[test]
 fn all_seeded_mutants_caught() {
-    let mutants: [(&str, fn()); 4] = [
+    let mutants: [(&str, fn()); 5] = [
         ("ring publish-before-write", ring_publish_before_write),
         ("ring ticket-without-CAS", ring_ticket_without_cas),
         ("progress lost-wakeup", progress_lost_wakeup),
         ("dedup check-then-insert", dedup_check_then_insert),
+        ("slab reap-keeps-generation", slab_reap_keeps_generation),
     ];
     for (what, scenario) in mutants {
         let ce = catch(what, scenario);
         assert!(!ce.schedule.is_empty(), "counterexample has a schedule");
     }
-    println!("all 4 seeded mutants caught");
+    println!("all 5 seeded mutants caught");
 }
 
 /// The miniature ring with no seeded bug upholds the same properties the
@@ -204,4 +244,13 @@ fn miniature_ring_correct_protocol_passes() {
             assert_eq!(got, vec![1, 2]);
         })
         .assert_pass("miniature ring, correct protocol");
+}
+
+/// The miniature slab with the generation advanced at reap upholds the
+/// property its mutant violates.
+#[test]
+fn miniature_slab_correct_protocol_passes() {
+    Checker::new()
+        .check(|| slab_scenario(false))
+        .assert_pass("miniature slab, correct protocol");
 }

@@ -1,6 +1,7 @@
 //! The runtime's progress callbacks: what happens to extracted packets and
 //! completion events.
 
+use std::cell::Cell;
 use std::time::Instant;
 
 use fairmpi_fabric::{Completion, CompletionKind, Envelope, Packet, PacketKind, Rank};
@@ -15,6 +16,12 @@ use crate::proc::ProcState;
 use crate::reliability::PendingFrame;
 use crate::request::Message;
 use crate::rma::WindowId;
+
+thread_local! {
+    /// Reused by every packet this thread hands to a matcher, so a
+    /// delivery allocates nothing once the buffer has grown.
+    static MATCH_EVENTS: Cell<Vec<MatchEvent>> = const { Cell::new(Vec::new()) };
+}
 
 impl ProcState {
     /// Inject a packet on an instance chosen by the configured assignment.
@@ -111,11 +118,8 @@ impl ProcState {
             PacketKind::RendezvousCts { receiver_token, .. } => receiver_token,
             _ => frame.cq_token,
         };
-        if token == 0 {
-            return;
-        }
-        if let Some(req) = self.requests.get(token) {
-            req.fail(err);
+        if token != 0 {
+            self.requests.fail(token, err);
         }
     }
 
@@ -133,14 +137,7 @@ impl ProcState {
             PacketKind::RendezvousRts { .. } | PacketKind::RendezvousCts { .. } => 0,
             _ => frame.cq_token,
         };
-        if token == 0 {
-            return 0;
-        }
-        let Some(req) = self.requests.get(token) else {
-            return 0;
-        };
-        req.complete_send();
-        1
+        usize::from(token != 0 && self.requests.complete_send(token))
     }
 
     /// Acknowledge receipt of transport sequence `tseq` back to `src`.
@@ -168,16 +165,16 @@ impl ProcState {
     /// matching engine and complete whatever it produced.
     fn handle_matchable(&self, packet: Packet) -> usize {
         let comm = packet.envelope.comm;
-        let mut events = Vec::new();
+        // This thread's event buffer, taken for the call: a nested call
+        // would find it empty and use a fresh one.
+        let mut events = MATCH_EVENTS.take();
         let delivered = self.with_matcher(comm, |m| m.deliver(packet, &mut events));
-        if delivered.is_err() {
-            debug_assert!(false, "packet for unknown communicator {comm}");
-            return 0;
-        }
+        debug_assert!(delivered.is_ok(), "packet for unknown communicator {comm}");
         let mut count = 0;
-        for ev in events {
+        for ev in events.drain(..) {
             count += self.complete_match(ev);
         }
+        MATCH_EVENTS.set(events);
         count
     }
 
@@ -185,27 +182,14 @@ impl ProcState {
     pub(crate) fn complete_match(&self, ev: MatchEvent) -> usize {
         let env = ev.packet.envelope;
         match ev.packet.kind {
-            PacketKind::Eager => {
-                let Some(req) = self.requests.get(ev.token) else {
-                    debug_assert!(false, "matched token {} has no request", ev.token);
-                    return 0;
-                };
-                if ev.packet.payload.len() > req.capacity {
-                    req.fail(MpiError::Truncated {
-                        message_len: ev.packet.payload.len(),
-                        capacity: req.capacity,
-                    });
-                    return 1;
-                }
-                self.spc
-                    .add(Counter::BytesReceived, ev.packet.payload.len() as u64);
-                req.complete_with(Message {
+            PacketKind::Eager => self.complete_recv(
+                ev.token,
+                Message {
                     data: ev.packet.payload,
                     src: env.src,
                     tag: env.tag,
-                });
-                1
-            }
+                },
+            ),
             PacketKind::RendezvousRts { sender_token, .. } => {
                 // Grant the transfer: CTS back to the sender, echoing the
                 // user tag so the DATA packet can reconstruct the message
@@ -237,11 +221,10 @@ impl ProcState {
 
     /// Sender side: a CTS arrived, ship the stashed payload.
     fn handle_cts(&self, sender_token: u64, receiver_token: u64, env: Envelope) -> usize {
-        let Some(req) = self.requests.get(sender_token) else {
+        let Some(payload) = self.requests.take_stash(sender_token) else {
             debug_assert!(false, "CTS for unknown send request {sender_token}");
             return 0;
         };
-        let payload = req.stash.lock().take().unwrap_or_default();
         let data = Packet::with_kind(
             Envelope {
                 src: self.rank,
@@ -260,27 +243,34 @@ impl ProcState {
     }
 
     /// Receiver side: the rendezvous bulk data arrived.
+    /// The matcher already counted the message when it matched the RTS.
     fn handle_rendezvous_data(&self, receiver_token: u64, packet: Packet) -> usize {
-        let Some(req) = self.requests.get(receiver_token) else {
-            debug_assert!(false, "DATA for unknown recv request {receiver_token}");
-            return 0;
-        };
-        if packet.payload.len() > req.capacity {
-            req.fail(MpiError::Truncated {
-                message_len: packet.payload.len(),
-                capacity: req.capacity,
-            });
-            return 1;
+        self.complete_recv(
+            receiver_token,
+            Message {
+                data: packet.payload,
+                src: packet.envelope.src,
+                tag: packet.envelope.tag,
+            },
+        )
+    }
+
+    /// Hand a matched message to its receive request (which fails it if
+    /// the message does not fit). Returns the user-visible completions.
+    fn complete_recv(&self, token: u64, msg: Message) -> usize {
+        let len = msg.data.len() as u64;
+        match self.requests.complete_recv(token, msg) {
+            Some(fits) => {
+                if fits {
+                    self.spc.add(Counter::BytesReceived, len);
+                }
+                1
+            }
+            None => {
+                debug_assert!(false, "matched token {token} has no pending request");
+                0
+            }
         }
-        self.spc
-            .add(Counter::BytesReceived, packet.payload.len() as u64);
-        self.spc.inc(Counter::MessagesReceived);
-        req.complete_with(Message {
-            data: packet.payload,
-            src: packet.envelope.src,
-            tag: packet.envelope.tag,
-        });
-        1
     }
 }
 
@@ -322,15 +312,7 @@ impl ProgressHandler for ProcState {
         match completion.kind {
             CompletionKind::SendDone => {
                 // Token 0 marks control packets with no request behind them.
-                if completion.token == 0 {
-                    return 0;
-                }
-                let Some(req) = self.requests.get(completion.token) else {
-                    // The request may already have been reaped by `wait`.
-                    return 0;
-                };
-                req.complete_send();
-                1
+                usize::from(completion.token != 0 && self.requests.complete_send(completion.token))
             }
             CompletionKind::RmaDone => {
                 let window = WindowId((completion.token >> 32) as u32);

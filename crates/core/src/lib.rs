@@ -73,6 +73,8 @@ pub use design::{
 pub use error::{MpiError, Result};
 pub use proc::Proc;
 pub use reliability::DedupWindow;
+#[doc(hidden)]
+pub use request::RequestTable;
 pub use request::{Message, Request};
 pub use rma::{AccumulateOp, EpochGuard, Window, WindowId};
 pub use world::{World, WorldBuilder};

@@ -152,9 +152,7 @@ impl ProcBackend {
                 }
             }
             Err(e) => {
-                if let Some(req) = st.requests.get(token) {
-                    req.fail(e);
-                }
+                st.requests.fail(token, e);
             }
         }
     }
@@ -191,9 +189,7 @@ impl ProcBackend {
     }
 
     fn complete_flush(&self, token: u64) {
-        if let Some(req) = self.state.requests.get(token) {
-            req.complete_send();
-        }
+        self.state.requests.complete_send(token);
         self.state.spc.inc(Counter::RmaFlushes);
     }
 }
@@ -251,11 +247,7 @@ impl OffloadBackend for ProcBackend {
     }
 
     fn is_complete(&self, token: u64) -> bool {
-        self.state
-            .requests
-            .get(token)
-            .map(|r| r.is_done())
-            .unwrap_or(true)
+        self.state.requests.is_done(token).unwrap_or(true)
     }
 }
 

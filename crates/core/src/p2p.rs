@@ -55,21 +55,21 @@ impl Proc {
     ) -> Result<Request> {
         let _span = trace::span("mpi.send");
         let st = &self.state;
-        let cs = st.comm_state(comm.id)?;
-        if dst as usize >= cs.size {
-            return Err(MpiError::InvalidRank(dst as i32));
-        }
+        // Sequence assignment happens outside the instance lock — the race
+        // between drawing a number and injecting the packet is the origin
+        // of out-of-sequence arrivals under thread concurrency.
+        let seq = st.with_comm(comm.id, |cs| {
+            if dst as usize >= cs.size {
+                return Err(MpiError::InvalidRank(dst as i32));
+            }
+            Ok(cs.sequencer.next(dst))
+        })??;
         let eager = buf.len() <= st.fabric.config().eager_threshold;
-        let req = if eager {
+        let token = if eager {
             st.requests.new_send(st.rank, tag, None)
         } else {
             st.requests.new_send(st.rank, tag, Some(buf.to_vec()))
         };
-
-        // Sequence assignment happens outside the instance lock — the race
-        // between drawing a number and injecting the packet is the origin
-        // of out-of-sequence arrivals under thread concurrency.
-        let seq = cs.sequencer.next(dst);
         let envelope = Envelope {
             src: st.rank,
             dst,
@@ -82,14 +82,14 @@ impl Proc {
         // completion token 0 marks it as control-only).
         let (packet, cq_token) = if eager {
             st.spc.inc(Counter::EagerSends);
-            (Packet::eager(envelope, buf.to_vec()), req.token)
+            (Packet::eager(envelope, buf.to_vec()), token)
         } else {
             st.spc.inc(Counter::RendezvousSends);
             let rts = Packet::with_kind(
                 envelope,
                 PacketKind::RendezvousRts {
                     len: buf.len(),
-                    sender_token: req.token,
+                    sender_token: token,
                 },
                 Vec::new(),
             );
@@ -104,16 +104,16 @@ impl Proc {
             // the direct path with the same packet.
             match rt.submit(fairmpi_offload::Command::Send {
                 packet,
-                token: req.token,
+                token,
                 cq_token,
             }) {
-                Ok(()) => return Ok(Request { token: req.token }),
+                Ok(()) => return Ok(Request { token }),
                 Err(fairmpi_offload::Command::Send {
                     packet, cq_token, ..
                 }) => {
                     let _big = st.maybe_big_lock();
                     st.send_packet(packet, cq_token);
-                    return Ok(Request { token: req.token });
+                    return Ok(Request { token });
                 }
                 Err(_) => unreachable!("send submission hands back a send"),
             }
@@ -121,7 +121,7 @@ impl Proc {
 
         let _big = st.maybe_big_lock();
         st.send_packet(packet, cq_token);
-        Ok(Request { token: req.token })
+        Ok(Request { token })
     }
 
     /// Blocking send (`MPI_Send`): `isend` + `wait`.
@@ -154,10 +154,10 @@ impl Proc {
     ) -> Result<Request> {
         let _span = trace::span("mpi.recv");
         let st = &self.state;
-        st.comm_state(comm.id)?;
-        let req = st.requests.new_recv(capacity);
+        st.with_comm(comm.id, |_| ())?;
+        let token = st.requests.new_recv(capacity);
         let posted = PostedRecv {
-            token: req.token,
+            token,
             comm: comm.id,
             src,
             tag,
@@ -168,19 +168,16 @@ impl Proc {
             // receives FIFO). Never fails — refusals post inline through
             // the same ordering protocol.
             rt.submit_recv(posted);
-            return Ok(Request { token: req.token });
+            return Ok(Request { token });
         }
         let _big = st.maybe_big_lock();
         let (outcome, _work) = st.with_matcher(comm.id, |m| m.post_recv(posted))?;
         if let PostOutcome::Matched(packet) = outcome {
             // An unexpected message was already waiting; complete (or, for
             // a rendezvous RTS, grant) it right here.
-            st.complete_match(fairmpi_matching::MatchEvent {
-                token: req.token,
-                packet,
-            });
+            st.complete_match(fairmpi_matching::MatchEvent { token, packet });
         }
-        Ok(Request { token: req.token })
+        Ok(Request { token })
     }
 
     /// Blocking receive (`MPI_Recv`): `irecv` + `wait`.
@@ -191,16 +188,17 @@ impl Proc {
 
     /// Block until a request completes (`MPI_Wait`), progressing the
     /// engine while waiting. Send requests yield an empty acknowledgment
-    /// message; receive requests yield the received message.
+    /// message; receive requests yield the received message. A request
+    /// that was already reaped — by an earlier wait, or by a wait on a
+    /// clone of the handle — is an [`MpiError::InvalidRequest`].
     pub fn wait(&self, request: &Request) -> Result<Message> {
         let _span = trace::span("mpi.wait");
         let st = &self.state;
-        let inner = st
-            .requests
-            .get(request.token)
-            .ok_or(MpiError::InvalidRequest(request.token))?;
         let mut idle_spins = 0u32;
-        while !inner.is_done() {
+        loop {
+            if let Some(outcome) = st.requests.try_reap(request.token) {
+                return outcome;
+            }
             // Drives the engine directly, or — in offload mode — only
             // drains this thread's completion notifications while the
             // workers progress.
@@ -213,8 +211,6 @@ impl Proc {
                 idle_spins = 0;
             }
         }
-        st.requests.remove(request.token);
-        inner.take_outcome()
     }
 
     /// Nonblocking completion test (`MPI_Test`). Returns `Ok(Some(msg))`
@@ -222,19 +218,11 @@ impl Proc {
     /// progress pass).
     pub fn test(&self, request: &Request) -> Result<Option<Message>> {
         let st = &self.state;
-        let inner = st
-            .requests
-            .get(request.token)
-            .ok_or(MpiError::InvalidRequest(request.token))?;
-        if !inner.is_done() {
-            st.advance();
+        if let Some(outcome) = st.requests.try_reap(request.token) {
+            return outcome.map(Some);
         }
-        if inner.is_done() {
-            st.requests.remove(request.token);
-            inner.take_outcome().map(Some)
-        } else {
-            Ok(None)
-        }
+        st.advance();
+        st.requests.try_reap(request.token).transpose()
     }
 
     /// Wait for every request (`MPI_Waitall`); outcomes in request order.
@@ -249,19 +237,15 @@ impl Proc {
         if requests.is_empty() {
             return Err(MpiError::InvalidRequest(0));
         }
-        let inners: Vec<_> = requests
-            .iter()
-            .map(|r| {
-                st.requests
-                    .get(r.token)
-                    .ok_or(MpiError::InvalidRequest(r.token))
-            })
-            .collect::<Result<_>>()?;
+        for r in requests {
+            st.requests
+                .is_done(r.token)
+                .ok_or(MpiError::InvalidRequest(r.token))?;
+        }
         loop {
-            for (i, inner) in inners.iter().enumerate() {
-                if inner.is_done() {
-                    st.requests.remove(requests[i].token);
-                    return inner.take_outcome().map(|m| (i, m));
+            for (i, r) in requests.iter().enumerate() {
+                if let Some(outcome) = st.requests.try_reap(r.token) {
+                    return outcome.map(|m| (i, m));
                 }
             }
             if st.advance() == 0 {
@@ -295,16 +279,15 @@ impl Proc {
     /// was still posted (and is now cancelled); false if it already matched.
     pub fn cancel_recv(&self, request: &Request, comm: Communicator) -> Result<bool> {
         let st = &self.state;
-        let inner = st
-            .requests
-            .get(request.token)
+        st.requests
+            .is_done(request.token)
             .ok_or(MpiError::InvalidRequest(request.token))?;
-        if inner.is_cancelled() {
+        if st.requests.is_cancelled(request.token) {
             return Ok(true);
         }
         let removed = st.with_matcher(comm.id, |m| m.cancel(request.token))?;
         if removed {
-            inner.cancel();
+            st.requests.cancel(request.token);
         }
         Ok(removed)
     }

@@ -1,7 +1,6 @@
 //! Per-rank runtime state and the public `Proc` handle.
 
 use fairmpi_sync::{Mutex, MutexGuard, RwLock};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use fairmpi_cri::CriPool;
@@ -61,7 +60,7 @@ impl Proc {
     /// Whether a communicator was created with
     /// `mpi_assert_allow_overtaking` (paper §IV-D).
     pub fn comm_allows_overtaking(&self, comm: crate::Communicator) -> Result<bool> {
-        Ok(self.state.comm_state(comm.id)?.allow_overtaking)
+        self.state.with_comm(comm.id, |cs| cs.allow_overtaking)
     }
 
     /// Number of requests currently live on this rank (diagnostics).
@@ -102,7 +101,8 @@ pub(crate) struct ProcState {
     pub(crate) engine: ProgressEngine,
     pub(crate) spc: Arc<SpcSet>,
     pub(crate) requests: RequestTable,
-    pub(crate) comms: RwLock<HashMap<CommId, Arc<CommState>>>,
+    /// Communicators, indexed by id (ids are dense from 0).
+    pub(crate) comms: RwLock<Vec<Arc<CommState>>>,
     /// Single process-wide matcher for [`MatchMode::Global`] designs.
     pub(crate) global_matcher: Mutex<Matcher>,
     /// Process-wide critical section for big-lock design emulations.
@@ -148,7 +148,7 @@ impl ProcState {
             engine,
             spc: Arc::clone(&spc),
             requests: RequestTable::new(),
-            comms: RwLock::new(HashMap::new()),
+            comms: RwLock::new(Vec::new()),
             global_matcher: Mutex::named(Matcher::new(spc, design.allow_overtaking), move || {
                 format!("matching.global[rank={rank}]")
             }),
@@ -165,17 +165,20 @@ impl ProcState {
         state
     }
 
-    /// Register a communicator's per-rank state.
+    /// Register a communicator's per-rank state. Ids must arrive in
+    /// order, so that a communicator's id is its index.
     pub(crate) fn register_comm(&self, state: Arc<CommState>) {
-        self.comms.write().insert(state.id, state);
+        let mut comms = self.comms.write();
+        assert_eq!(state.id as usize, comms.len(), "communicator ids are dense");
+        comms.push(state);
     }
 
-    pub(crate) fn comm_state(&self, id: CommId) -> Result<Arc<CommState>> {
-        self.comms
-            .read()
-            .get(&id)
-            .cloned()
-            .ok_or(MpiError::InvalidComm(id))
+    /// Run `f` on a communicator's state, borrowed under the table's read
+    /// lock.
+    pub(crate) fn with_comm<R>(&self, id: CommId, f: impl FnOnce(&CommState) -> R) -> Result<R> {
+        let comms = self.comms.read();
+        let cs = comms.get(id as usize).ok_or(MpiError::InvalidComm(id))?;
+        Ok(f(cs))
     }
 
     /// Hold the process-global critical section when emulating big-lock
@@ -201,11 +204,7 @@ impl ProcState {
                 let mut m = self.global_matcher.lock();
                 f(&mut m)
             }
-            MatchMode::PerCommunicator => {
-                let cs = self.comm_state(comm)?;
-                let mut m = cs.matcher.lock();
-                f(&mut m)
-            }
+            MatchMode::PerCommunicator => self.with_comm(comm, |cs| f(&mut cs.matcher.lock()))?,
         };
         drop(timer);
         Ok(result)
@@ -398,15 +397,15 @@ impl ProcState {
             // Ship a flush descriptor: the worker registers it and the
             // engine's progress pass completes the request once the pending
             // count drains (FIFO behind every queued put).
-            let req = self.requests.new_send(self.rank, 0, None);
+            let token = self.requests.new_send(self.rank, 0, None);
             let cmd = fairmpi_offload::Command::Flush {
                 window: win.id.0 as u64,
                 target,
-                token: req.token,
+                token,
             };
             if rt.submit(cmd).is_ok() {
                 let mut idle_spins = 0u32;
-                while !req.is_done() {
+                while self.requests.is_done(token) == Some(false) {
                     if rt.poll_completions() == 0 {
                         idle_spins += 1;
                         if idle_spins > 64 {
@@ -416,13 +415,15 @@ impl ProcState {
                         idle_spins = 0;
                     }
                 }
-                self.requests.remove(req.token);
+                let _ = self.requests.try_reap(token);
                 // The backend counted RmaFlushes at completion.
                 return;
             }
-            self.requests.remove(req.token);
-            // Refused: drain inline below (the workers still retire the
-            // queued puts; progress_once only yields meanwhile).
+            // Refused: retire the unused request and drain inline below
+            // (the workers still retire the queued puts; progress_once
+            // only yields meanwhile).
+            self.requests.complete_send(token);
+            let _ = self.requests.try_reap(token);
         }
         loop {
             let pending = match target {

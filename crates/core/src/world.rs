@@ -1,9 +1,9 @@
 //! The world: a set of ranks wired to one fabric under one design.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use fairmpi_sync::Mutex;
 use std::sync::Arc;
 
-use fairmpi_fabric::{Fabric, FabricConfig, MachineKind, Rank};
+use fairmpi_fabric::{CommId, Fabric, FabricConfig, MachineKind, Rank};
 use fairmpi_spc::SpcSnapshot;
 
 use crate::comm::{CommState, Communicator};
@@ -20,7 +20,9 @@ pub struct World {
     fabric: Arc<Fabric>,
     design: DesignConfig,
     procs: Vec<Arc<ProcState>>,
-    next_comm: AtomicU32,
+    /// The next communicator id, held while registering one so that every
+    /// rank receives ids in order.
+    next_comm: Mutex<CommId>,
     windows: Arc<WindowRegistry>,
 }
 
@@ -94,7 +96,7 @@ impl WorldBuilder {
             fabric,
             design,
             procs,
-            next_comm: AtomicU32::new(0),
+            next_comm: Mutex::new(0),
             windows,
         };
         // COMM_WORLD.
@@ -156,7 +158,9 @@ impl World {
     /// Create a new communicator with an explicit
     /// `mpi_assert_allow_overtaking` info value (paper §IV-D).
     pub fn new_comm_with(&self, allow_overtaking: bool) -> Communicator {
-        let id = self.next_comm.fetch_add(1, Ordering::Relaxed);
+        let mut next_comm = self.next_comm.lock();
+        let id = *next_comm;
+        *next_comm += 1;
         for proc in &self.procs {
             proc.register_comm(Arc::new(CommState::new(
                 id,

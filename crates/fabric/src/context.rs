@@ -1,7 +1,8 @@
 //! Network contexts: the resource the paper replicates into CRIs.
 
-use crossbeam::queue::SegQueue;
 use fairmpi_spc::WatermarkCell;
+use fairmpi_sync::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::{Packet, Rank};
@@ -35,6 +36,10 @@ pub enum CompletionKind {
 /// (the wire does it), but *draining* must be serialized by the owner — in
 /// this design, by the CRI lock above. Debug builds verify the discipline
 /// with [`NetworkContext::begin_drain`].
+///
+/// Both queues sit behind facade locks, so they show in the traced
+/// backend's contention report and the model checker can interleave them.
+/// A drain takes each lock once per batch, not once per item.
 #[derive(Debug)]
 pub struct NetworkContext {
     /// Owning rank.
@@ -42,9 +47,9 @@ pub struct NetworkContext {
     /// Index of this context within the rank's context table.
     index: usize,
     /// Incoming packets deposited by the wire.
-    rx: SegQueue<Packet>,
+    rx: Mutex<VecDeque<Packet>>,
     /// Local completion events.
-    cq: SegQueue<Completion>,
+    cq: Mutex<VecDeque<Completion>>,
     /// Number of operations injected but not yet completed.
     pending_ops: AtomicU64,
     /// Extremes of `pending_ops`, sampled at each injection — how deep this
@@ -65,8 +70,12 @@ impl NetworkContext {
         Self {
             rank,
             index,
-            rx: SegQueue::new(),
-            cq: SegQueue::new(),
+            rx: Mutex::named(VecDeque::new(), move || {
+                format!("fabric.rx[{rank}.{index}]")
+            }),
+            cq: Mutex::named(VecDeque::new(), move || {
+                format!("fabric.cq[{rank}.{index}]")
+            }),
             pending_ops: AtomicU64::new(0),
             pending_watermark: WatermarkCell::new(),
             rx_watermark: WatermarkCell::new(),
@@ -92,8 +101,12 @@ impl NetworkContext {
         if !self.is_alive() {
             return;
         }
-        self.rx.push(packet);
-        self.rx_watermark.record(self.rx.len() as u64);
+        let depth = {
+            let mut rx = self.rx.lock();
+            rx.push_back(packet);
+            rx.len()
+        };
+        self.rx_watermark.record(depth as u64);
     }
 
     /// Permanently kill this context (fault injection). Irreversible: all
@@ -110,7 +123,7 @@ impl NetworkContext {
     /// Deposit a local completion event.
     pub fn post_completion(&self, completion: Completion) {
         fairmpi_trace::instant("fabric.cq_completion");
-        self.cq.push(completion);
+        self.cq.lock().push_back(completion);
     }
 
     /// Record that an operation was injected and will complete later.
@@ -144,7 +157,7 @@ impl NetworkContext {
     /// Whether any packet or completion is waiting (cheap peek for progress
     /// heuristics; may race, callers must tolerate both outcomes).
     pub fn has_work(&self) -> bool {
-        !self.rx.is_empty() || !self.cq.is_empty()
+        !self.rx.lock().is_empty() || !self.cq.lock().is_empty()
     }
 
     /// Begin draining this context. Enforces (in debug builds) that only one
@@ -172,18 +185,39 @@ pub struct DrainGuard<'a> {
 impl DrainGuard<'_> {
     /// Pop one incoming packet, if any.
     pub fn pop_rx(&mut self) -> Option<Packet> {
-        self.ctx.rx.pop()
+        self.ctx.rx.lock().pop_front()
     }
 
     /// Pop one completion event, if any.
     pub fn pop_completion(&mut self) -> Option<Completion> {
-        self.ctx.cq.pop()
+        self.ctx.cq.lock().pop_front()
+    }
+
+    /// Move up to `max` incoming packets, oldest first, onto `out` under
+    /// one acquisition of the ring's lock. Returns how many moved.
+    pub fn pop_packets(&mut self, max: usize, out: &mut Vec<Packet>) -> usize {
+        drain_front(&self.ctx.rx, max, out)
+    }
+
+    /// Move up to `max` completion events, oldest first, onto `out` under
+    /// one acquisition of the queue's lock. Returns how many moved.
+    pub fn pop_completions(&mut self, max: usize, out: &mut Vec<Completion>) -> usize {
+        drain_front(&self.ctx.cq, max, out)
     }
 
     /// The context being drained.
     pub fn context(&self) -> &NetworkContext {
         self.ctx
     }
+}
+
+fn drain_front<T>(queue: &Mutex<VecDeque<T>>, max: usize, out: &mut Vec<T>) -> usize {
+    let mut queue = queue.lock();
+    let n = max.min(queue.len());
+    if n > 0 {
+        out.extend(queue.drain(..n));
+    }
+    n
 }
 
 impl Drop for DrainGuard<'_> {
@@ -221,6 +255,28 @@ mod tests {
             assert_eq!(drain.pop_rx().unwrap().envelope.seq, seq);
         }
         assert!(drain.pop_rx().is_none());
+    }
+
+    #[test]
+    fn batch_pops_respect_the_limit_and_order() {
+        let ctx = NetworkContext::new(1, 0);
+        for seq in 0..5 {
+            ctx.post_rx(packet(seq));
+            ctx.post_completion(Completion {
+                token: seq,
+                kind: CompletionKind::SendDone,
+            });
+        }
+        let mut drain = ctx.begin_drain();
+        let mut packets = Vec::new();
+        assert_eq!(drain.pop_packets(3, &mut packets), 3);
+        assert_eq!(drain.pop_packets(9, &mut packets), 2);
+        assert_eq!(drain.pop_packets(9, &mut packets), 0);
+        let seqs: Vec<_> = packets.iter().map(|p| p.envelope.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
+        let mut completions = Vec::new();
+        assert_eq!(drain.pop_completions(9, &mut completions), 5);
+        assert_eq!(completions[4].token, 4);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::{Arc, OnceLock};
 
 use fairmpi_chaos::{ChaosEngine, Delivery, FaultPlan};
 use fairmpi_spc::{Counter, SpcSet};
-use parking_lot::Mutex;
+use fairmpi_sync::Mutex;
 
 use crate::{FabricConfig, NetworkContext, Packet, Rank};
 

@@ -1,6 +1,6 @@
 //! The matcher: sequence validation plus PRQ/UMQ queue matching.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use fairmpi_fabric::{CommId, Envelope, Packet, Rank, SeqNo, Tag};
@@ -32,8 +32,9 @@ struct SourceState {
 pub struct Matcher {
     /// Skip sequence validation (`mpi_assert_allow_overtaking`).
     allow_overtaking: bool,
-    /// Reassembly state per (communicator, source).
-    sources: HashMap<(CommId, Rank), SourceState>,
+    /// Reassembly state per communicator, then per source: both ids are
+    /// dense from 0, so the table is indexed, not hashed.
+    sources: Vec<Vec<SourceState>>,
     /// Posted-receive queue, in post order.
     prq: VecDeque<PostedRecv>,
     /// Unexpected-message queue, in arrival (match-admission) order.
@@ -48,7 +49,7 @@ impl Matcher {
     pub fn new(spc: Arc<SpcSet>, allow_overtaking: bool) -> Self {
         Self {
             allow_overtaking,
-            sources: HashMap::new(),
+            sources: Vec::new(),
             prq: VecDeque::new(),
             umq: VecDeque::new(),
             spc,
@@ -74,16 +75,16 @@ impl Matcher {
             return work;
         }
 
-        let key = (packet.envelope.comm, packet.envelope.src);
+        let (comm, src) = (packet.envelope.comm, packet.envelope.src);
         work.seq_checks += 1;
-        let state = self.sources.entry(key).or_default();
+        let state = self.source_mut(comm, src);
         let seq = packet.envelope.seq;
         if seq == state.expected {
             state.expected += 1;
             self.admit(packet, out, &mut work);
             // Replaying the out-of-sequence chain that just became ready.
             loop {
-                let state = self.sources.get_mut(&key).expect("state exists");
+                let state = self.source_mut(comm, src);
                 match state.out_of_sequence.remove(&state.expected) {
                     Some(parked) => {
                         state.expected += 1;
@@ -103,7 +104,7 @@ impl Matcher {
             work.oos_buffered += 1;
             trace::instant("match.oos_insert");
             self.spc.inc(Counter::OutOfSequenceMessages);
-            let buffered: usize = self.sources.values().map(|s| s.out_of_sequence.len()).sum();
+            let buffered = self.out_of_sequence_len();
             self.spc
                 .record_max(Counter::MaxOutOfSequenceBuffered, buffered as u64);
             self.spc
@@ -114,6 +115,19 @@ impl Matcher {
             debug_assert!(false, "duplicate sequence number {seq} < expected");
         }
         work
+    }
+
+    /// The reassembly state of `(comm, src)`, created on first use.
+    fn source_mut(&mut self, comm: CommId, src: Rank) -> &mut SourceState {
+        let (comm, src) = (comm as usize, src as usize);
+        if comm >= self.sources.len() {
+            self.sources.resize_with(comm + 1, Vec::new);
+        }
+        let sources = &mut self.sources[comm];
+        if src >= sources.len() {
+            sources.resize_with(src + 1, SourceState::default);
+        }
+        &mut sources[src]
     }
 
     /// Admit one in-sequence (or overtaking) packet to queue matching.
@@ -229,15 +243,19 @@ impl Matcher {
 
     /// Messages currently parked out of sequence, across all sources.
     pub fn out_of_sequence_len(&self) -> usize {
-        self.sources.values().map(|s| s.out_of_sequence.len()).sum()
+        self.sources
+            .iter()
+            .flatten()
+            .map(|s| s.out_of_sequence.len())
+            .sum()
     }
 
     /// The next sequence number expected from `(comm, src)`.
     pub fn expected_seq(&self, comm: CommId, src: Rank) -> SeqNo {
         self.sources
-            .get(&(comm, src))
-            .map(|s| s.expected)
-            .unwrap_or(0)
+            .get(comm as usize)
+            .and_then(|c| c.get(src as usize))
+            .map_or(0, |s| s.expected)
     }
 
     /// The counter sink this matcher reports into.

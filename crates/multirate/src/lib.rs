@@ -141,23 +141,22 @@ pub fn run_native(cfg: &MultirateConfig) -> MultirateReport {
     let world = Arc::new(world);
 
     let start = Instant::now();
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (pair, &(s_rank, r_rank, comm)) in endpoints.iter().enumerate() {
             let sender_world = Arc::clone(&world);
             let cfg2 = cfg.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let p = sender_world.proc(s_rank);
                 run_sender(&p, r_rank, comm, &cfg2, pair);
             });
             let receiver_world = Arc::clone(&world);
             let cfg2 = cfg.clone();
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let p = receiver_world.proc(r_rank);
                 run_receiver(&p, s_rank, comm, &cfg2, pair);
             });
         }
-    })
-    .expect("benchmark threads");
+    });
     let elapsed_ns = start.elapsed().as_nanos() as u64;
 
     let total = cfg.total_messages();

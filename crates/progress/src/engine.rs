@@ -1,6 +1,7 @@
 //! Engine implementation.
 
 use fairmpi_sync::Mutex;
+use std::cell::Cell;
 use std::sync::Arc;
 
 use fairmpi_cri::{Assignment, Cri, CriPool};
@@ -30,10 +31,22 @@ pub trait ProgressHandler {
     fn on_completion(&self, completion: Completion) -> usize;
 }
 
-/// An item drained from an instance, pending handling.
-enum Drained {
-    Packet(Packet),
-    Completion(Completion),
+/// Items drained from an instance, pending handling.
+#[derive(Default)]
+struct Batch {
+    completions: Vec<Completion>,
+    packets: Vec<Packet>,
+}
+
+thread_local! {
+    /// This thread's drain buffers, reused across passes so a drain
+    /// allocates nothing once they have grown.
+    static BATCH: Cell<Batch> = const {
+        Cell::new(Batch {
+            completions: Vec::new(),
+            packets: Vec::new(),
+        })
+    };
 }
 
 /// The progress engine for one rank.
@@ -142,6 +155,8 @@ impl ProgressEngine {
 
     /// Try-lock one instance, extract up to the drain budget (charging
     /// extraction overhead under the lock), release, then handle the items.
+    /// Completions drain first, then packets; each queue's lock is taken
+    /// once per batch.
     fn drain_one<H: ProgressHandler>(&self, cri: &Arc<Cri>, handler: &H) -> usize {
         if !cri.is_alive() {
             // Quarantined by the fault plan: its CQ reports nothing ever
@@ -150,43 +165,42 @@ impl ProgressEngine {
             return 0;
         }
         let spc = self.pool.spc();
-        let mut items: Vec<Drained> = Vec::new();
-        {
+        let mut batch = {
             let Some(guard) = cri.try_lock(spc) else {
                 // Another thread is working this instance; its progress is
                 // in good hands (paper §III-C).
                 return 0;
             };
+            // Taken for the pass: a nested pass would find empty buffers
+            // and use fresh ones.
+            let mut batch = BATCH.take();
             let mut drain = guard.begin_drain();
-            while items.len() < self.drain_budget {
-                if let Some(c) = drain.pop_completion() {
-                    busy_wait_ns(self.extraction_overhead_ns);
-                    drain.context().op_finished();
-                    items.push(Drained::Completion(c));
-                    continue;
-                }
-                if let Some(p) = drain.pop_rx() {
-                    busy_wait_ns(self.extraction_overhead_ns);
-                    items.push(Drained::Packet(p));
-                    continue;
-                }
-                break;
+            let completions = drain.pop_completions(self.drain_budget, &mut batch.completions);
+            for _ in 0..completions {
+                busy_wait_ns(self.extraction_overhead_ns);
+                drain.context().op_finished();
             }
-        } // instance lock released before matching, per Fig. 1's pipeline.
+            let packets = drain.pop_packets(self.drain_budget - completions, &mut batch.packets);
+            for _ in 0..packets {
+                busy_wait_ns(self.extraction_overhead_ns);
+            }
+            batch
+        }; // instance lock released before matching, per Fig. 1's pipeline.
 
-        spc.record_hist(Histogram::DrainBatchSize, items.len() as u64);
-        if items.is_empty() {
-            return 0;
-        }
-        trace::counter("progress.drained", items.len() as u64);
-        spc.add(Counter::CompletionsDrained, items.len() as u64);
+        let drained = batch.completions.len() + batch.packets.len();
+        spc.record_hist(Histogram::DrainBatchSize, drained as u64);
         let mut count = 0;
-        for item in items {
-            count += match item {
-                Drained::Packet(p) => handler.on_packet(p),
-                Drained::Completion(c) => handler.on_completion(c),
-            };
+        if drained > 0 {
+            trace::counter("progress.drained", drained as u64);
+            spc.add(Counter::CompletionsDrained, drained as u64);
+            for c in batch.completions.drain(..) {
+                count += handler.on_completion(c);
+            }
+            for p in batch.packets.drain(..) {
+                count += handler.on_packet(p);
+            }
         }
+        BATCH.set(batch);
         count
     }
 }

@@ -4,7 +4,7 @@
 
 use std::fmt::Write as _;
 
-use fairmpi_spc::{Counter, SpcSet, SpcSnapshot};
+use crate::{Counter, SpcSet, SpcSnapshot};
 
 /// Periodic [`SpcSnapshot`] samples over (virtual or wall) time.
 #[derive(Debug, Clone)]

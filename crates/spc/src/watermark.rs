@@ -95,11 +95,18 @@ impl WatermarkCell {
         }
     }
 
-    /// Fold one observation of the level into both extremes.
+    /// Fold one observation of the level into both extremes. Each extreme
+    /// only moves one way, so a plain load that finds it already beyond
+    /// `level` settles the sample without a read-modify-write (a stale
+    /// load only ever sends the sample to the atomic update).
     #[inline]
     pub fn record(&self, level: u64) {
-        self.high.fetch_max(level, Ordering::Relaxed);
-        self.low.fetch_min(level, Ordering::Relaxed);
+        if level > self.high.load(Ordering::Relaxed) {
+            self.high.fetch_max(level, Ordering::Relaxed);
+        }
+        if level < self.low.load(Ordering::Relaxed) {
+            self.low.fetch_min(level, Ordering::Relaxed);
+        }
     }
 
     /// Highest level recorded (0 if never recorded).

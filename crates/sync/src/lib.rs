@@ -1,7 +1,7 @@
 //! # fairmpi-sync — the workspace's synchronization facade
 //!
 //! Every lock, atomic, and cache-line pad in the runtime goes through this
-//! crate instead of reaching for `std`/`parking_lot` directly. The paper's
+//! crate instead of reaching for `std` directly. The paper's
 //! entire contribution lives in synchronization design — per-instance
 //! try-locks (Algorithm 2), per-communicator matching locks, the offload
 //! command ring, the reliability dedup window — so the primitives they are

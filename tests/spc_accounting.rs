@@ -157,3 +157,29 @@ fn delta_snapshots_isolate_a_measured_phase() {
     let delta = world.proc(0).spc_snapshot().delta_since(&before);
     assert_eq!(delta[Counter::MessagesSent], 5, "warmup excluded");
 }
+
+#[test]
+fn rendezvous_messages_are_received_once() {
+    const MSGS: u64 = 6;
+    let world = World::builder().ranks(2).build();
+    let comm = world.comm_world();
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let len = world.fabric_config().eager_threshold + 1;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..MSGS {
+                p0.send(&vec![7u8; len], 1, 0, comm).unwrap();
+            }
+        });
+        for _ in 0..MSGS {
+            assert_eq!(p1.recv(len, 0, 0, comm).unwrap().data.len(), len);
+        }
+    });
+    let spc = world.spc_merged();
+    assert_eq!(spc[Counter::RendezvousSends], MSGS);
+    assert_eq!(
+        spc[Counter::MessagesReceived],
+        MSGS,
+        "each message counted once"
+    );
+}

@@ -3,7 +3,7 @@
 //!
 //! The traced backend (built with `--features trace`) routes every lock
 //! acquisition through fairmpi-trace's contention profiler; the native
-//! backend compiles down to bare `parking_lot` primitives. Neither may
+//! backend compiles down to bare `std::sync` primitives. Neither may
 //! change what the runtime *does* — only how it is observed. This test
 //! drives the Fig. 5 flagship design point (the proposed design: dedicated
 //! CRIs with concurrent progress and matching) with a native-thread stress

@@ -210,3 +210,99 @@ fn three_rank_ring_with_collectives() {
         h.join().unwrap();
     }
 }
+
+/// Two threads wait on clones of one receive request: exactly one gets the
+/// message, the other an `InvalidRequest`, never a panic.
+#[test]
+fn racing_waits_on_cloned_requests_reap_once() {
+    let world = World::builder().ranks(2).build();
+    let comm = world.comm_world();
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    for round in 0..100u32 {
+        let req = p1.irecv(4, 0, 0, comm).unwrap();
+        let start = std::sync::Barrier::new(3);
+        let outcomes: Vec<_> = std::thread::scope(|s| {
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    let (p1, req, start) = (p1.clone(), req.clone(), &start);
+                    s.spawn(move || {
+                        start.wait();
+                        p1.wait(&req)
+                    })
+                })
+                .collect();
+            start.wait();
+            p0.send(&round.to_le_bytes(), 1, 0, comm).unwrap();
+            waiters.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        let delivered: Vec<_> = outcomes.iter().filter_map(|o| o.as_ref().ok()).collect();
+        assert_eq!(delivered.len(), 1, "round {round}: {outcomes:?}");
+        assert_eq!(delivered[0].data, round.to_le_bytes());
+        assert!(
+            outcomes
+                .iter()
+                .any(|o| matches!(o, Err(fairmpi::MpiError::InvalidRequest(_)))),
+            "round {round}: {outcomes:?}"
+        );
+    }
+    assert_eq!(p1.pending_requests(), 0);
+}
+
+/// A reaped handle stays dead after its slot is recycled: waiting on it,
+/// testing it or cancelling it is an `InvalidRequest`, and the slot's new
+/// request is untouched.
+#[test]
+fn reaped_request_stays_invalid_after_slot_reuse() {
+    let world = World::builder().ranks(2).build();
+    let comm = world.comm_world();
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let old = p1.irecv(4, 0, 0, comm).unwrap();
+    p0.send(b"one", 1, 0, comm).unwrap();
+    assert_eq!(p1.wait(&old).unwrap().data, b"one");
+
+    let new = p1.irecv(4, 0, 0, comm).unwrap();
+    for outcome in [
+        p1.wait(&old).map(|_| ()),
+        p1.test(&old).map(|_| ()),
+        p1.cancel_recv(&old, comm).map(|_| ()),
+    ] {
+        assert!(
+            matches!(outcome, Err(fairmpi::MpiError::InvalidRequest(_))),
+            "{outcome:?}"
+        );
+    }
+    assert_eq!(p1.test(&new).unwrap(), None, "the new request is pending");
+    p0.send(b"two", 1, 0, comm).unwrap();
+    assert_eq!(p1.wait(&new).unwrap().data, b"two");
+    assert_eq!(p1.pending_requests(), 0);
+}
+
+/// A Multirate window (128 isends against 128 irecvs) leaves no live
+/// request behind on either rank, under every design.
+#[test]
+fn multirate_window_leaks_no_requests() {
+    const WINDOW: u32 = 128;
+    let mut all = designs();
+    all.push(DesignConfig::builder().offload(1).build().unwrap());
+    for design in all {
+        let world = World::builder().ranks(2).design(design).build();
+        let comm = world.comm_world();
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        for _ in 0..2 {
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let reqs: Vec<_> = (0..WINDOW)
+                        .map(|i| p0.isend(&[], 1, i as i32, comm).unwrap())
+                        .collect();
+                    p0.waitall(&reqs).unwrap();
+                });
+                let reqs: Vec<_> = (0..WINDOW)
+                    .map(|i| p1.irecv(0, 0, i as i32, comm).unwrap())
+                    .collect();
+                p1.waitall(&reqs).unwrap();
+            });
+        }
+        assert_eq!(p0.pending_requests(), 0, "{design:?}");
+        assert_eq!(p1.pending_requests(), 0, "{design:?}");
+    }
+}

@@ -49,8 +49,9 @@ cargo doc --no-deps --workspace --offline
 echo "== pvar smoke test =="
 # Tiny grid: the flagship observed run must produce a well-formed,
 # non-empty MPI_T pvar dump whose session reads match the SPC snapshot
-# (the binary asserts that), and self-comparing the bench report must
-# show zero regressions.
+# (the binary asserts that) and whose scrape time-series is ordered,
+# complete and monotonic for counters (--check-pvars checks that), and
+# self-comparing the bench report must show zero regressions.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 bin=$PWD/target/release
@@ -63,12 +64,15 @@ grep -q "MPI_T session reads equal the SpcSnapshot values for this run ... PASS"
 echo "== offload smoke + regression gate =="
 # Tiny grid: the offload flagship read through MPI_T must dump well-formed
 # pvars with the session reads matching the SPC snapshot (the four
-# offload_* probes included).
+# offload_* probes included), and the offload path must actually have run:
+# commands went through the queues and the queue depth rose above zero.
 (cd "$smoke_dir" && FAIRMPI_ITERS=2 FAIRMPI_MAX_PAIRS=6 \
     "$bin/fig_offload" --pvars offload_pvars.json > offload_pvars.log)
 grep -q "MPI_T session reads equal the SpcSnapshot values for this run ... PASS" \
     "$smoke_dir/offload_pvars.log"
 "$bin/fairmpi-report" --check-pvars "$smoke_dir/offload_pvars.json"
+grep -Eq '^fairmpi_offload_commands [1-9]' "$smoke_dir/offload_pvars.prom"
+grep -Eq '^fairmpi_offload_queue_depth_hwm [1-9]' "$smoke_dir/offload_pvars.prom"
 # The full grid is deterministic under virtual time, so a fresh run must
 # match the committed baseline within the noise threshold and every
 # printed qualitative check must hold.

@@ -2,7 +2,7 @@
 //! derived per-message costs. Not a paper figure; a calibration aid.
 //!
 //! Usage: `diag [pairs] [instances] [serial|concurrent] [single|perpair]
-//! [--trace out.json] [--spc-series out.csv]`
+//! [--trace out.json] [--pvars out.json]`
 
 use fairmpi_bench::figures::presets;
 use fairmpi_bench::observe::Observe;

@@ -3,9 +3,9 @@
 //! matching (c), with ordering enforced.
 //!
 //! Usage: `cargo run --release -p fairmpi-bench --bin fig3 [-- --panel a|b|c]`
-//! (no panel: all three). With `--trace <out.json>` or
-//! `--spc-series <out.csv>` the sweep is replaced by one observed flagship
-//! run per panel (see `fairmpi_bench::observe`).
+//! (no panel: all three). With `--trace <out.json>` or `--pvars <out.json>`
+//! the sweep is replaced by one observed flagship run of one panel (see
+//! `fairmpi_bench::observe`).
 
 use fairmpi_bench::observe::Observe;
 use fairmpi_bench::report::rate_report;

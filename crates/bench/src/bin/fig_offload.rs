@@ -4,14 +4,9 @@
 //! paper's CRI designs, and process mode. Not a paper figure; the axes
 //! match Fig. 5 so the curves are directly comparable.
 
-use std::sync::Arc;
-
 use fairmpi_bench::observe::Observe;
 use fairmpi_bench::report::rate_report;
 use fairmpi_bench::{check, figures, print_series, write_csv};
-use fairmpi_mpit::{PvarRegistry, PvarSession, PvarValue};
-use fairmpi_spc::{Counter, SpcSet, Watermark};
-use fairmpi_vsim::RunHooks;
 
 fn main() {
     let (observe, _args) = Observe::from_env();
@@ -90,63 +85,4 @@ fn main() {
              (grid stops at {full_x} pairs, fewer than the 4 offload workers)"
         );
     }
-
-    pvar_consistency();
-}
-
-/// Run the flagship once with an MPI_T registry attached and assert that
-/// the four `offload_*` SPCs are enumerable and that their pvar reads
-/// equal the run's `SpcSnapshot` / live watermark cell.
-fn pvar_consistency() {
-    let spc = Arc::new(SpcSet::new());
-    let registry = PvarRegistry::new(Arc::clone(&spc));
-    let mut session = PvarSession::new(&registry);
-    let counters = [
-        ("offload_commands", Counter::OffloadCommands),
-        ("offload_batches", Counter::OffloadBatches),
-        (
-            "offload_backpressure_stalls",
-            Counter::OffloadBackpressureStalls,
-        ),
-    ];
-    let handles: Vec<_> = counters
-        .iter()
-        .map(|(name, c)| {
-            let idx = registry
-                .index_of(name)
-                .unwrap_or_else(|| panic!("{name} not enumerable via PvarRegistry"));
-            let h = session.handle_alloc(idx).expect("valid index");
-            session.start(h).expect("counter pvars support start");
-            (h, *c)
-        })
-        .collect();
-
-    let sim = figures::fig_offload_flagship();
-    let (result, _) = sim.run_hooked(RunHooks {
-        spc: Some(Arc::clone(&spc)),
-        ..RunHooks::default()
-    });
-
-    let mut ok = result.spc[Counter::OffloadCommands] > 0;
-    for (h, c) in handles {
-        session.stop(h).expect("counter pvars support stop");
-        let read = session
-            .read(h)
-            .expect("valid handle")
-            .as_scalar()
-            .expect("scalar class");
-        ok &= read == result.spc[c];
-    }
-    let hwm_idx = registry
-        .index_of("offload_queue_depth_hwm")
-        .expect("offload_queue_depth_hwm not enumerable via PvarRegistry");
-    let hwm = match registry.read_raw(hwm_idx).expect("valid index") {
-        PvarValue::Scalar(v) => v,
-        PvarValue::Histogram { .. } => unreachable!("watermark pvars are scalar"),
-    };
-    ok &= hwm == spc.watermark(Watermark::OffloadQueueDepth).high() && hwm > 0;
-    check(
-        "offload: the four offload_* pvars read back the run's SPC values",
-        ok,
-    );
 }

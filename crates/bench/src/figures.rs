@@ -181,7 +181,7 @@ pub fn fig3(panel: char) -> Vec<Series> {
 }
 
 /// The flagship design point of a Fig. 3 panel for observability mode
-/// (`--trace` / `--spc-series`): the panel's progress/matching design with a
+/// (`--trace` / `--pvars`): the panel's progress/matching design with a
 /// **single shared instance** under round-robin assignment at the full pair
 /// count — the most contended cell of the grid, where the instance-lock
 /// convoy the paper describes is most visible.

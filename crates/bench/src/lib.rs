@@ -14,13 +14,13 @@
 //!   `table2` defaults to the paper's full 1010).
 //! * `FAIRMPI_MAX_PAIRS` — x-axis maximum for Figs. 3-5 (default 20).
 //! * `FAIRMPI_RMA_OPS` — puts per thread for Figs. 6-7 (default 1000).
-//! * `FAIRMPI_SPC_INTERVAL_US` — SPC time-series sampling interval in
-//!   virtual microseconds for `--spc-series` (default 50).
+//! * `FAIRMPI_SPC_INTERVAL_US` — interval of the `--pvars` scrape
+//!   time-series in virtual microseconds (default 50).
 //!
-//! The fig3, fig5, table2 and diag binaries also accept
-//! `--trace <out.json>` (Perfetto trace + lock-contention report),
-//! `--spc-series <out.csv>` (message-rate time-series) and
-//! `--pvars <out.json>` (MPI_T-style performance-variable snapshot +
+//! The fig3, fig5, table2, fig_offload, fig_degradation and diag binaries
+//! also accept `--trace <out.json>` (Perfetto trace + lock-contention
+//! report) and `--pvars <out.json>` (MPI_T-style performance-variable
+//! snapshot with a per-interval time-series of every pvar, plus a
 //! Prometheus page); see [`observe`] for how observability mode changes
 //! what runs. Every binary additionally writes a versioned
 //! machine-readable result file `results/BENCH_<name>.json`; diff two of

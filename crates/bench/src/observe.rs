@@ -2,57 +2,41 @@
 //!
 //! `--trace <out.json>` records a Chrome-trace-event file (load it in
 //! Perfetto or `chrome://tracing`) and prints the lock-contention report;
-//! `--spc-series <out.csv>` samples the SPC counters on a fixed virtual-time
-//! interval and writes a per-interval rate time-series;
 //! `--pvars <out.json>` reads the run through the MPI_T-style
 //! performance-variable interface (`fairmpi-mpit`) and writes a JSON
 //! snapshot plus a Prometheus exposition page next to it (`<out>.prom`).
+//! The JSON carries the SPC time-series: every registry pvar, scraped each
+//! `FAIRMPI_SPC_INTERVAL_US` of virtual time.
 //!
 //! A full figure runs hundreds of simulations; a trace of all of them would
 //! be unreadable and enormous. When any flag is present the binaries
 //! instead run **one flagship design point** of their figure (see the
 //! `*_flagship` constructors in [`crate::figures`]) under observation and
-//! skip the sweep. The fig3/fig5/table2/diag binaries all share this exact
-//! logic — [`Observe::from_env`] is the single place the flags are parsed.
+//! skip the sweep. The fig3/fig5/table2/fig_offload/fig_degradation/diag
+//! binaries all share this exact logic — [`Observe::from_env`] is the
+//! single place the flags are parsed.
 
 use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use fairmpi_mpit::{json, prometheus, PvarRegistry, PvarSession, PvarValue};
-use fairmpi_spc::{SpcSet, Watermark};
+use fairmpi_mpit::json::{self, Value};
+use fairmpi_mpit::{prometheus, PvarRegistry, PvarSession, PvarValue};
+use fairmpi_spc::{Counter, SpcSet, Watermark};
 use fairmpi_trace as trace;
-use fairmpi_vsim::{MultirateSim, RunHooks, SimDesign};
+use fairmpi_vsim::{MultirateSim, RunHooks, ScrapeFn, SimDesign};
 
-/// Rows of the `--pvars` scrape time-series: (virtual boundary ns, one
-/// value per [`SCRAPE_PVARS`] entry).
-type ScrapeRows = Rc<RefCell<Vec<(u64, Vec<u64>)>>>;
-
-/// The scrape callback handed to [`RunHooks`].
-type ScrapeFn = Box<dyn FnMut(u64, &SpcSet)>;
-
-/// The pvars sampled into the `--pvars` time-series at each scrape
-/// interval (a handful of rates tells the story; the full registry is
-/// dumped once at the end).
-const SCRAPE_PVARS: [&str; 8] = [
-    "messages_sent",
-    "messages_received",
-    "out_of_sequence_messages",
-    "match_time_ns",
-    "instance_try_lock_failures",
-    "progress_wasted_passes",
-    "offload_commands",
-    "offload_queue_depth_hwm",
-];
+/// One `key: value` member of a JSON object.
+fn field(key: &str, value: impl Into<Value>) -> (String, Value) {
+    (key.to_string(), value.into())
+}
 
 /// Parsed observability flags.
 #[derive(Debug, Default)]
 pub struct Observe {
     /// Destination for the Chrome-trace-event JSON (`--trace`).
     pub trace_path: Option<PathBuf>,
-    /// Destination for the SPC time-series CSV (`--spc-series`).
-    pub spc_series_path: Option<PathBuf>,
     /// Destination for the MPI_T pvar snapshot JSON (`--pvars`).
     pub pvars_path: Option<PathBuf>,
     /// Chaos RNG seed for the run (`--chaos-seed <n>`).
@@ -62,9 +46,9 @@ pub struct Observe {
 }
 
 impl Observe {
-    /// Strip `--trace <path>` / `--spc-series <path>` / `--pvars <path>` /
-    /// `--chaos-seed <n>` / `--chaos-drop <pm>` out of `args`, leaving the
-    /// binary's own arguments in place.
+    /// Strip `--trace <path>` / `--pvars <path>` / `--chaos-seed <n>` /
+    /// `--chaos-drop <pm>` out of `args`, leaving the binary's own arguments
+    /// in place.
     pub fn from_args(args: &mut Vec<String>) -> Self {
         fn take(args: &mut Vec<String>, flag: &str) -> Option<String> {
             let i = args.iter().position(|a| a == flag)?;
@@ -75,7 +59,6 @@ impl Observe {
         }
         Self {
             trace_path: take(args, "--trace").map(PathBuf::from),
-            spc_series_path: take(args, "--spc-series").map(PathBuf::from),
             pvars_path: take(args, "--pvars").map(PathBuf::from),
             chaos_seed: take(args, "--chaos-seed")
                 .map(|v| v.parse().expect("--chaos-seed takes an integer seed")),
@@ -95,7 +78,7 @@ impl Observe {
 
     /// Whether any observability output was requested.
     pub fn active(&self) -> bool {
-        self.trace_path.is_some() || self.spc_series_path.is_some() || self.pvars_path.is_some()
+        self.trace_path.is_some() || self.pvars_path.is_some()
     }
 
     /// Arm the lossy wire on a design when `--chaos-seed` / `--chaos-drop`
@@ -125,18 +108,13 @@ impl Observe {
         true
     }
 
-    /// SPC sampling / pvar scrape interval in virtual nanoseconds
-    /// (`FAIRMPI_SPC_INTERVAL_US`, default 50 µs).
-    fn series_interval_ns(&self) -> u64 {
-        crate::env_usize("FAIRMPI_SPC_INTERVAL_US", 50) as u64 * 1_000
-    }
-
     /// Run one simulation under observation: arm the recorder on virtual
     /// time, execute, then write the requested artifacts and print the
     /// top-10 lock-contention table. Returns the simulation result.
     pub fn run(&self, label: &str, sim: &MultirateSim) -> fairmpi_vsim::MultirateResult {
         trace::start_virtual();
-        let interval = self.series_interval_ns();
+        // Pvar scrape interval in virtual ns (default 50 µs).
+        let interval = crate::env_usize("FAIRMPI_SPC_INTERVAL_US", 50) as u64 * 1_000;
 
         // The pvar path: one SpcSet shared between the simulation and the
         // MPI_T registry, so every value a tool reads through a session is
@@ -146,47 +124,45 @@ impl Observe {
         let registry = Arc::new(PvarRegistry::new(Arc::clone(&spc)));
         let mut session = PvarSession::new(&registry);
         let tracked: Vec<_> = [
-            "out_of_sequence_messages",
-            "match_time_ns",
-            "offload_commands",
-            "offload_batches",
-            "offload_backpressure_stalls",
+            Counter::OutOfSequenceMessages,
+            Counter::MatchTimeNanos,
+            Counter::OffloadCommands,
+            Counter::OffloadBatches,
+            Counter::OffloadBackpressureStalls,
         ]
-        .iter()
-        .map(|name| {
-            let idx = registry.index_of(name).expect("registered pvar");
+        .into_iter()
+        .map(|counter| {
+            let idx = registry.index_of(counter.name()).expect("registered pvar");
             let h = session.handle_alloc(idx).expect("valid index");
             session.start(h).expect("counter pvars support start");
-            (*name, h)
+            (counter, h)
         })
         .collect();
 
-        // Interval scraping through the registry (MPI_T-style periodic
-        // reads), collected for the JSON time-series.
-        let scraped: ScrapeRows = Rc::new(RefCell::new(Vec::new()));
+        // Interval scraping of every pvar through the registry (MPI_T-style
+        // periodic reads) into the JSON time-series: one compact
+        // `[t_ns, <value per pvar index>...]` row per boundary, histograms
+        // as their `count`. The names go into the document once, as
+        // `series_columns`.
+        let scraped = Rc::new(RefCell::new(Vec::new()));
         let scrape = self.pvars_path.is_some().then(|| {
             let rows = Rc::clone(&scraped);
             let registry = Arc::clone(&registry);
-            let indices: Vec<usize> = SCRAPE_PVARS
-                .iter()
-                .map(|name| registry.index_of(name).expect("registered pvar"))
-                .collect();
             let f: ScrapeFn = Box::new(move |boundary_ns, _spc| {
-                let values = indices
-                    .iter()
-                    .map(|&i| match registry.read_raw(i).expect("valid index") {
+                let values = (0..registry.num_pvars()).map(|i| {
+                    match registry.read_raw(i).expect("valid index") {
                         PvarValue::Scalar(v) => v,
                         PvarValue::Histogram { count, .. } => count,
-                    })
-                    .collect();
-                rows.borrow_mut().push((boundary_ns, values));
+                    }
+                });
+                rows.borrow_mut()
+                    .push(std::iter::once(boundary_ns).chain(values).collect());
             });
             (interval, f)
         });
 
-        let (result, series) = sim.run_hooked(RunHooks {
+        let result = sim.run_hooked(RunHooks {
             spc: Some(Arc::clone(&spc)),
-            series_interval_ns: self.spc_series_path.is_some().then_some(interval),
             scrape,
         });
         let t = trace::stop();
@@ -212,36 +188,23 @@ impl Observe {
                 path.display()
             );
         }
-        if let (Some(path), Some(series)) = (&self.spc_series_path, &series) {
-            std::fs::write(path, series.to_csv()).expect("write spc series csv");
-            println!(
-                "wrote {} ({} samples @ {} ns)",
-                path.display(),
-                series.len(),
-                interval
-            );
-        }
         if let Some(path) = &self.pvars_path {
             // The MPI_T sessions were opened on an untouched set, so their
             // reads must equal the snapshot counters for the same run.
             let mut session_reads = Vec::new();
-            for (name, h) in &tracked {
-                session.stop(*h).expect("counter pvars support stop");
+            for &(counter, h) in &tracked {
+                session.stop(h).expect("counter pvars support stop");
                 let read = session
-                    .read(*h)
+                    .read(h)
                     .expect("valid handle")
                     .as_scalar()
                     .expect("scalar class");
-                let counter = fairmpi_spc::Counter::ALL
-                    .iter()
-                    .copied()
-                    .find(|c| c.name() == *name)
-                    .expect("pvar names mirror counter names");
+                let name = counter.name();
                 assert_eq!(
                     read, result.spc[counter],
                     "pvar session read of {name} diverged from the SPC snapshot"
                 );
-                session_reads.push((name.to_string(), json::Value::from(read)));
+                session_reads.push(field(name, read));
             }
             // Watermark pvars are continuous (no start/stop), so the
             // offload queue-depth high-water mark is checked as a raw
@@ -249,70 +212,53 @@ impl Observe {
             let hwm_idx = registry
                 .index_of("offload_queue_depth_hwm")
                 .expect("registered pvar");
-            let hwm = match registry.read_raw(hwm_idx).expect("valid index") {
-                PvarValue::Scalar(v) => v,
-                PvarValue::Histogram { .. } => unreachable!("watermark pvars are scalar"),
-            };
+            let hwm = registry
+                .read_raw(hwm_idx)
+                .expect("valid index")
+                .as_scalar()
+                .expect("watermark pvars are scalar");
             assert_eq!(
                 hwm,
                 spc.watermark(Watermark::OffloadQueueDepth).high(),
                 "offload_queue_depth_hwm pvar diverged from the SPC watermark cell"
             );
-            session_reads.push((
-                "offload_queue_depth_hwm".to_string(),
-                json::Value::from(hwm),
-            ));
+            session_reads.push(field("offload_queue_depth_hwm", hwm));
             crate::check(
                 "MPI_T session reads equal the SpcSnapshot values for this run",
                 true,
             );
 
-            let series_rows = scraped
-                .borrow()
-                .iter()
-                .map(|(t_ns, values)| {
-                    let mut fields = vec![("t_ns".to_string(), json::Value::from(*t_ns))];
-                    fields.extend(
-                        SCRAPE_PVARS
-                            .iter()
-                            .zip(values.iter())
-                            .map(|(name, v)| (name.to_string(), json::Value::from(*v))),
-                    );
-                    json::Value::Obj(fields)
-                })
+            let series: Vec<Vec<u64>> = scraped.take();
+            let columns = std::iter::once("t_ns".into())
+                .chain(
+                    (0..registry.num_pvars())
+                        .map(|i| Value::from(registry.info(i).expect("valid index").name.clone())),
+                )
                 .collect();
-            let doc = json::Value::Obj(vec![
-                ("schema".to_string(), json::Value::from("fairmpi.pvars")),
-                ("version".to_string(), json::Value::from(1u64)),
-                ("label".to_string(), json::Value::from(label)),
-                ("interval_ns".to_string(), json::Value::from(interval)),
-                (
-                    "result".to_string(),
-                    json::Value::Obj(vec![
-                        (
-                            "msg_rate_per_s".to_string(),
-                            json::Value::Num(result.msg_rate_per_s),
-                        ),
-                        (
-                            "makespan_ns".to_string(),
-                            json::Value::from(result.makespan_ns),
-                        ),
-                        (
-                            "total_messages".to_string(),
-                            json::Value::from(result.total_messages),
-                        ),
+            let head = vec![
+                field("schema", "fairmpi.pvars"),
+                field("version", 2u64),
+                field("label", label),
+                field("interval_ns", interval),
+                field(
+                    "result",
+                    Value::Obj(vec![
+                        field("msg_rate_per_s", result.msg_rate_per_s),
+                        field("makespan_ns", result.makespan_ns),
+                        field("total_messages", result.total_messages),
                     ]),
                 ),
-                ("session_reads".to_string(), json::Value::Obj(session_reads)),
-                ("pvars".to_string(), json::pvars_value(&registry)),
-                ("series".to_string(), json::Value::Arr(series_rows)),
-            ]);
-            std::fs::write(path, doc.render()).expect("write pvars json");
+                field("session_reads", Value::Obj(session_reads)),
+                field("pvars", json::pvars_value(&registry)),
+                field("series_columns", Value::Arr(columns)),
+            ];
+            std::fs::write(path, json::render_with_rows(&head, "series", &series))
+                .expect("write pvars json");
             println!(
                 "wrote {} ({} pvars, {} series samples)",
                 path.display(),
                 registry.num_pvars(),
-                scraped.borrow().len()
+                series.len()
             );
 
             let prom_path = path.with_extension("prom");

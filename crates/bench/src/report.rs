@@ -376,8 +376,11 @@ pub fn compare(baseline: &BenchReport, candidate: &BenchReport, noise: f64) -> C
 }
 
 /// Validate a `--pvars` dump (the CI smoke check): parses, carries the
-/// `fairmpi.pvars` schema, and has a non-empty, well-formed `pvars` array.
-/// Returns the number of pvars on success.
+/// `fairmpi.pvars` schema, has a non-empty, well-formed `pvars` array, and
+/// a non-empty scrape `series` whose rows are strictly increasing in
+/// `t_ns`, each carry a value for every `series_columns` entry (which name
+/// every scalar pvar), and never see a COUNTER or TIMER pvar fall. Returns
+/// the number of pvars on success.
 pub fn validate_pvars(text: &str) -> Result<usize, String> {
     let v = parse(text)?;
     if v.get("schema").and_then(|s| s.as_str()) != Some("fairmpi.pvars") {
@@ -389,28 +392,80 @@ pub fn validate_pvars(text: &str) -> Result<usize, String> {
     let pvars = v
         .get("pvars")
         .and_then(|p| p.as_arr())
-        .ok_or("missing pvars array")?;
-    if pvars.is_empty() {
-        return Err("pvars array is empty".to_string());
-    }
+        .filter(|p| !p.is_empty())
+        .ok_or("missing or empty pvars array")?;
     let mut nonzero = 0usize;
+    // (name, whether the class is monotonic) of every scalar pvar.
+    let mut scalars = Vec::new();
     for (i, p) in pvars.iter().enumerate() {
-        p.get("name")
+        let name = p
+            .get("name")
             .and_then(|n| n.as_str())
             .ok_or_else(|| format!("pvar {i}: missing name"))?;
-        p.get("class")
+        let class = p
+            .get("class")
             .and_then(|c| c.as_str())
             .ok_or_else(|| format!("pvar {i}: missing class"))?;
         let scalar = p.get("value").and_then(|v| v.as_u64());
         let buckets = p.get("buckets").and_then(|b| b.as_arr());
         match (scalar, buckets) {
-            (Some(v), None) => nonzero += (v != 0) as usize,
+            (Some(v), None) => {
+                nonzero += (v != 0) as usize;
+                scalars.push((name, matches!(class, "counter" | "timer")));
+            }
             (None, Some(b)) => nonzero += b.iter().any(|v| v.as_u64() != Some(0)) as usize,
             _ => return Err(format!("pvar {i}: needs a value or buckets")),
         }
     }
     if nonzero == 0 {
         return Err("every pvar is zero — the run recorded nothing".to_string());
+    }
+
+    // The scrape: `series_columns` names the values of every `series` row
+    // once; each scalar pvar must have a column.
+    let columns: Vec<&str> = v
+        .get("series_columns")
+        .and_then(|c| c.as_arr())
+        .ok_or("missing series_columns array")?
+        .iter()
+        .map(|c| c.as_str().ok_or("series_columns: non-string entry"))
+        .collect::<Result<_, _>>()?;
+    if columns.first() != Some(&"t_ns") {
+        return Err("series_columns must start with t_ns".to_string());
+    }
+    // (name, column) of every COUNTER/TIMER pvar: those may never fall.
+    let mut monotonic = Vec::new();
+    for &(name, is_monotonic) in &scalars {
+        let col = columns
+            .iter()
+            .position(|c| *c == name)
+            .ok_or_else(|| format!("series_columns lacks scalar pvar {name}"))?;
+        monotonic.extend(is_monotonic.then_some((name, col)));
+    }
+    let series = v
+        .get("series")
+        .and_then(|s| s.as_arr())
+        .filter(|s| !s.is_empty())
+        .ok_or("missing or empty series array")?;
+    let mut prev: Vec<u64> = Vec::new();
+    for (r, row) in series.iter().enumerate() {
+        let row: Vec<u64> = row
+            .as_arr()
+            .filter(|row| row.len() == columns.len())
+            .ok_or_else(|| format!("series row {r}: needs {} values", columns.len()))?
+            .iter()
+            .map(|x| x.as_u64())
+            .collect::<Option<_>>()
+            .ok_or_else(|| format!("series row {r}: non-integer value"))?;
+        if r > 0 {
+            if row[0] <= prev[0] {
+                return Err(format!("series row {r}: t_ns does not increase"));
+            }
+            if let Some((name, _)) = monotonic.iter().find(|&&(_, c)| row[c] < prev[c]) {
+                return Err(format!("series row {r}: {name} decreased"));
+            }
+        }
+        prev = row;
     }
     Ok(pvars.len())
 }
@@ -515,13 +570,50 @@ mod tests {
 
     #[test]
     fn pvars_validation_accepts_good_and_rejects_bad() {
-        let good = r#"{"schema": "fairmpi.pvars", "version": 1,
+        // A counter, a low watermark (free to fall) and a histogram (not
+        // required as a column) under given `series_columns` and `series`.
+        let dump_with = |sent: u64, columns: &str, series: &str| {
+            format!(
+                r#"{{"schema": "fairmpi.pvars", "version": 2,
+                "pvars": [{{"name": "messages_sent", "class": "counter", "value": {sent}}},
+                          {{"name": "depth_lwm", "class": "lowwatermark", "value": 0}},
+                          {{"name": "hist", "class": "histogram", "buckets": [0], "sum": 0, "count": 0}}],
+                "series_columns": {columns},
+                "series": {series}}}"#
+            )
+        };
+        let columns = r#"["t_ns", "messages_sent", "depth_lwm"]"#;
+        let dump = |sent: u64, series: &str| dump_with(sent, columns, series);
+        let good = "[[10, 2, 3], [20, 5, 1]]";
+        assert_eq!(validate_pvars(&dump(5, good)), Ok(3));
+        assert!(validate_pvars(&dump(0, good)).is_err(), "all zero");
+        let missing = r#"{"schema": "fairmpi.pvars", "version": 2,
             "pvars": [{"name": "messages_sent", "class": "counter", "value": 5}]}"#;
-        assert_eq!(validate_pvars(good), Ok(1));
-        let zero = r#"{"schema": "fairmpi.pvars", "version": 1,
-            "pvars": [{"name": "messages_sent", "class": "counter", "value": 0}]}"#;
-        assert!(validate_pvars(zero).is_err());
-        let empty = r#"{"schema": "fairmpi.pvars", "version": 1, "pvars": []}"#;
+        assert!(validate_pvars(missing).is_err(), "no series");
+        assert!(validate_pvars(&dump(5, "[]")).is_err(), "empty series");
+        assert!(
+            validate_pvars(&dump(5, "[[10, 2, 3], [10, 5, 1]]")).is_err(),
+            "t_ns repeats"
+        );
+        assert!(
+            validate_pvars(&dump(5, "[[10, 2, 3], [20, 5]]")).is_err(),
+            "row lacks a pvar"
+        );
+        let no_lwm = r#"["t_ns", "messages_sent"]"#;
+        assert!(
+            validate_pvars(&dump_with(5, no_lwm, "[[10, 2], [20, 5]]")).is_err(),
+            "columns lack a scalar pvar"
+        );
+        let t_not_first = r#"["messages_sent", "t_ns", "depth_lwm"]"#;
+        assert!(
+            validate_pvars(&dump_with(5, t_not_first, good)).is_err(),
+            "t_ns is not the first column"
+        );
+        assert!(
+            validate_pvars(&dump(5, "[[10, 5, 3], [20, 2, 1]]")).is_err(),
+            "counter fell"
+        );
+        let empty = r#"{"schema": "fairmpi.pvars", "version": 2, "pvars": []}"#;
         assert!(validate_pvars(empty).is_err());
         assert!(validate_pvars("not json").is_err());
         assert!(validate_pvars(r#"{"schema": "other"}"#).is_err());

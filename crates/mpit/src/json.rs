@@ -237,6 +237,42 @@ pub fn pvars_value(registry: &PvarRegistry) -> Value {
     Value::Arr(items)
 }
 
+/// Render an object made of `fields` plus one last member, `key`: an array
+/// of integer rows, each written on one line.
+///
+/// Long time-series (the `--pvars` scrape) go through here instead of a
+/// [`Value`] tree, which would cost a 32-byte node per number and put one
+/// number per line. The output parses back like any other document.
+pub fn render_with_rows(fields: &[(String, Value)], key: &str, rows: &[Vec<u64>]) -> String {
+    let mut out = String::from("{");
+    for (k, v) in fields {
+        out.push_str("\n  ");
+        write_str(&mut out, k);
+        out.push_str(": ");
+        v.write(&mut out, 1);
+        out.push(',');
+    }
+    out.push_str("\n  ");
+    write_str(&mut out, key);
+    out.push_str(": [");
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str(if i == 0 { "\n    [" } else { ",\n    [" });
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{v}");
+        }
+        out.push(']');
+    }
+    out.push_str(if rows.is_empty() {
+        "]\n}\n"
+    } else {
+        "\n  ]\n}\n"
+    });
+    out
+}
+
 /// Parse a JSON document.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
@@ -338,12 +374,17 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or escape in one go.
+                // Both are ASCII, so the run ends on a char boundary; only
+                // the run is validated, never the rest of the document.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
                     .map_err(|_| format!("invalid utf-8 at byte {}", *pos))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos = end;
             }
         }
     }

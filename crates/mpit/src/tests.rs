@@ -281,9 +281,44 @@ fn json_parser_handles_general_documents() {
     );
     assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\""));
     assert_eq!(v.get("n"), Some(&json::Value::Null));
+    let multibyte = json::parse(r#"{"µs": "a→b\\c"}"#).unwrap();
+    assert_eq!(multibyte.get("µs").unwrap().as_str(), Some("a→b\\c"));
     assert!(json::parse("{\"unterminated\": ").is_err());
+    assert!(json::parse("\"open").is_err());
     assert!(json::parse("[1, 2,]").is_err());
     assert!(json::parse("{} trailing").is_err());
+}
+
+#[test]
+fn rows_render_one_per_line_and_parse_back() {
+    let fields = vec![
+        ("label".to_string(), json::Value::from("x")),
+        (
+            "cols".to_string(),
+            json::Value::Arr(vec!["t_ns".into(), "n".into()]),
+        ),
+    ];
+    let rows = vec![vec![10, 0], vec![20, 7]];
+    let text = json::render_with_rows(&fields, "rows", &rows);
+    assert!(text.contains("\n    [20, 7]\n"), "{text}");
+    let mut expected = fields.clone();
+    expected.push((
+        "rows".to_string(),
+        json::Value::Arr(
+            rows.iter()
+                .map(|r| json::Value::Arr(r.iter().map(|&v| v.into()).collect()))
+                .collect(),
+        ),
+    ));
+    assert_eq!(json::parse(&text), Ok(json::Value::Obj(expected)));
+    let empty = json::render_with_rows(&[], "rows", &[]);
+    assert_eq!(
+        json::parse(&empty),
+        Ok(json::Value::Obj(vec![(
+            "rows".to_string(),
+            json::Value::Arr(vec![])
+        )]))
+    );
 }
 
 /// An untouched low watermark stores `u64::MAX` internally as its

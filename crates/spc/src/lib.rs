@@ -26,7 +26,6 @@
 
 mod counter;
 mod histogram;
-mod series;
 mod set;
 mod snapshot;
 mod timer;
@@ -34,7 +33,6 @@ mod watermark;
 
 pub use counter::Counter;
 pub use histogram::{bucket_for, bucket_upper_bound, Histogram, HistogramCell, HISTOGRAM_BUCKETS};
-pub use series::SpcSeries;
 pub use set::SpcSet;
 pub use snapshot::SpcSnapshot;
 pub use timer::ScopedTimer;

@@ -229,17 +229,27 @@ mod tests {
     /// racing `reset` are either pre-reset or post-reset — a counter that
     /// only ever moves 0 → N can therefore never be observed above N or
     /// between 0 and the smallest post-reset partial sum in a torn state.
+    ///
+    /// A barrier holds the writers back until the observer has taken its
+    /// first snapshot, so the observer is already running when the writers
+    /// start and at least one snapshot is always taken (an optimized build
+    /// can otherwise finish every increment before the observer is even
+    /// scheduled). Whether later snapshots land during the writes is up
+    /// to the scheduler.
     #[test]
     fn snapshot_concurrent_with_reset_stays_within_bounds() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
+        use std::sync::{Arc, Barrier};
         const PER_THREAD: u64 = 50_000;
         let spc = Arc::new(SpcSet::new());
         let stop = Arc::new(AtomicBool::new(false));
+        let start = Arc::new(Barrier::new(5));
         let writers: Vec<_> = (0..4)
             .map(|_| {
                 let spc = Arc::clone(&spc);
+                let start = Arc::clone(&start);
                 std::thread::spawn(move || {
+                    start.wait();
                     for _ in 0..PER_THREAD {
                         spc.inc(Counter::MessagesSent);
                     }
@@ -249,9 +259,10 @@ mod tests {
         let observer = {
             let spc = Arc::clone(&spc);
             let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let mut snaps = 0u64;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let v = spc.snapshot()[Counter::MessagesSent];
                     // Every observed value is one some interleaving of
                     // increments and resets could produce: at most the
@@ -259,6 +270,12 @@ mod tests {
                     assert!(v <= 4 * PER_THREAD, "impossible value {v}");
                     spc.reset();
                     snaps += 1;
+                    if snaps == 1 {
+                        start.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 snaps
             })

@@ -8,7 +8,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::event::{EventKind, NameId};
-use crate::json::escape_into;
 use crate::trace_data::Trace;
 
 /// pid of thread/actor tracks.
@@ -17,6 +16,23 @@ const PID_THREADS: u32 = 1;
 const PID_LOCKS: u32 = 2;
 /// tid offset of per-lock tracks (locks get tids 1000, 1001, ...).
 const LOCK_TID_BASE: u32 = 1000;
+
+/// Escape a string into a JSON string literal (without the quotes).
+fn escape_into(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
 
 struct Writer {
     out: String,
@@ -177,8 +193,8 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::json;
     use crate::trace_data::TrackData;
+    use fairmpi_mpit::json;
 
     fn ev(ts: u64, kind: EventKind, name: u32, arg: u64) -> Event {
         Event {
@@ -212,7 +228,7 @@ mod tests {
         let doc = json::parse(&out).expect("exporter must emit valid JSON");
         let events = doc
             .get("traceEvents")
-            .and_then(|e| e.as_array())
+            .and_then(|e| e.as_arr())
             .expect("traceEvents array");
         assert!(!events.is_empty());
         for e in events {
@@ -239,5 +255,12 @@ mod tests {
             .filter(|e| e.get("ph").and_then(|p| p.as_str()) == Some("E"))
             .count();
         assert_eq!(b, e);
+    }
+
+    #[test]
+    fn escape_handles_controls() {
+        let mut s = String::new();
+        escape_into(&mut s, "a\"b\\c\nd\u{1}");
+        assert_eq!(s, "a\\\"b\\\\c\\nd\\u0001");
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's analysis lives or dies on internal visibility: Table II's
 //! out-of-sequence counts and match-time inflation are *why* each design
 //! wins or collapses. This crate records what the end-of-run SPC totals
-//! cannot show — lock convoys forming, progress polls starving, message
-//! rate evolving over time.
+//! cannot show — lock convoys forming, progress polls starving. (Counters
+//! over time are the MPI_T pvar scrape in `fairmpi-bench`'s `--pvars`.)
 //!
 //! # Architecture
 //!
@@ -46,7 +46,6 @@ mod chrome;
 mod clock;
 mod contention;
 mod event;
-pub mod json;
 mod trace_data;
 
 #[cfg(feature = "enabled")]

@@ -7,10 +7,15 @@
 
 #![cfg(feature = "enabled")]
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
+use fairmpi_mpit::json;
+use fairmpi_spc::Counter;
 use fairmpi_trace as trace;
 use fairmpi_vsim::{
-    workload::multirate::SimMatchLayout, Machine, MachinePreset, MultirateSim, SimAssignment,
-    SimDesign, SimProgress,
+    workload::multirate::SimMatchLayout, Machine, MachinePreset, MultirateSim, RunHooks,
+    SimAssignment, SimDesign, SimProgress,
 };
 
 #[test]
@@ -38,7 +43,18 @@ fn one_cri_run_ranks_the_instance_lock_top() {
         seed: 7,
         cost: None,
     };
-    let (result, series) = sim.run_observed(Some(50_000));
+    let samples = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&samples);
+    let result = sim.run_hooked(RunHooks {
+        scrape: Some((
+            50_000,
+            Box::new(move |t_ns, spc| {
+                sink.borrow_mut()
+                    .push((t_ns, spc.get(Counter::MessagesSent)))
+            }),
+        )),
+        ..RunHooks::default()
+    });
     let t = trace::stop();
 
     assert!(result.total_messages > 0);
@@ -74,20 +90,25 @@ fn one_cri_run_ranks_the_instance_lock_top() {
     assert!(t.tracks.iter().any(|tr| tr.name.starts_with("recv[")));
 
     // The Chrome export of a real run parses back as JSON.
-    let json = trace::json::parse(&t.to_chrome_json()).expect("chrome export must be valid JSON");
-    let events = json
+    let doc = json::parse(&t.to_chrome_json()).expect("chrome export must be valid JSON");
+    let events = doc
         .get("traceEvents")
-        .and_then(|e| e.as_array())
+        .and_then(|e| e.as_arr())
         .expect("traceEvents array");
     assert!(!events.is_empty());
 
-    // The SPC series sampled the run and saw traffic.
-    let series = series.expect("series requested");
+    // The traced run was also scraped on its virtual-time interval, and
+    // the samples saw the traffic grow.
+    let samples = samples.borrow();
     assert!(
-        series.len() > 1,
+        samples.len() > 1,
         "a multi-interval run yields several samples"
     );
-    let csv = series.to_csv();
-    assert!(csv.starts_with("time_s,messages_sent"));
-    assert!(csv.lines().count() == series.len() + 1);
+    assert!(
+        samples
+            .windows(2)
+            .all(|w| w[0].0 < w[1].0 && w[0].1 <= w[1].1),
+        "boundaries and counter values must be monotonic"
+    );
+    assert!(samples.last().unwrap().1 > 0, "the scrape saw no traffic");
 }

@@ -171,9 +171,9 @@ pub struct Sim<W: WorldAccess> {
     /// Interned names for scheduler-level slices.
     sleep_name: NameId,
     yield_name: NameId,
-    /// Periodic observers fired as virtual time crosses interval
-    /// boundaries (each with its own interval).
-    tick_hooks: Vec<TickHook<W>>,
+    /// Periodic observer fired as virtual time crosses interval
+    /// boundaries.
+    tick_hook: Option<TickHook<W>>,
     /// Workload-shared state (matchers, rings, counters).
     pub world: W,
 }
@@ -204,29 +204,21 @@ impl<W: WorldAccess> Sim<W> {
             tracks: Vec::new(),
             sleep_name: trace::intern("sleep"),
             yield_name: trace::intern("yield"),
-            tick_hooks: Vec::new(),
+            tick_hook: None,
             world,
         }
     }
 
-    /// Install a periodic observer: `f(boundary_ns, &mut world)` fires once
-    /// per `interval_ns` of virtual time as the clock crosses each boundary
-    /// (used for SPC time-series sampling and pvar scraping). Observers
-    /// stack: each call adds one with an independent interval, and hooks
-    /// sharing a boundary fire in installation order.
-    pub fn add_tick_hook(&mut self, interval_ns: u64, f: TickFn<W>) {
+    /// Install the periodic observer: `f(boundary_ns, &mut world)` fires
+    /// once per `interval_ns` of virtual time as the clock crosses each
+    /// boundary (the pvar scrape). Replaces any previously installed one.
+    pub fn install_tick_hook(&mut self, interval_ns: u64, f: TickFn<W>) {
         let interval_ns = interval_ns.max(1);
-        self.tick_hooks.push(TickHook {
+        self.tick_hook = Some(TickHook {
             interval_ns,
             next_ns: interval_ns,
             f,
         });
-    }
-
-    /// Alias of [`Sim::add_tick_hook`], kept for the original single-hook
-    /// call sites.
-    pub fn set_tick_hook(&mut self, interval_ns: u64, f: TickFn<W>) {
-        self.add_tick_hook(interval_ns, f);
     }
 
     /// Current virtual time (ns).
@@ -335,15 +327,11 @@ impl<W: WorldAccess> Sim<W> {
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             trace::set_virtual_now(at);
-            if !self.tick_hooks.is_empty() {
-                let mut hooks = std::mem::take(&mut self.tick_hooks);
-                for hook in &mut hooks {
-                    while at >= hook.next_ns {
-                        (hook.f)(hook.next_ns, &mut self.world);
-                        hook.next_ns += hook.interval_ns;
-                    }
+            if let Some(hook) = &mut self.tick_hook {
+                while at >= hook.next_ns {
+                    (hook.f)(hook.next_ns, &mut self.world);
+                    hook.next_ns += hook.interval_ns;
                 }
-                self.tick_hooks = hooks;
             }
             events += 1;
             assert!(

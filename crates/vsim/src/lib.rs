@@ -37,6 +37,8 @@ pub mod workload;
 pub use cost::CostModel;
 pub use engine::{Action, Actor, ActorId, LockId, Resume, SchedParams, Sim, WorldAccess};
 pub use machine::{Machine, MachinePreset};
-pub use workload::multirate::{MultirateResult, MultirateSim, RunHooks, SimDesign, SimMatchLayout};
+pub use workload::multirate::{
+    MultirateResult, MultirateSim, RunHooks, ScrapeFn, SimDesign, SimMatchLayout,
+};
 pub use workload::rmamt::{RmamtResult, RmamtSim};
 pub use workload::{SimAssignment, SimProgress};

@@ -7,9 +7,7 @@
 //! only time, locks and cores are virtual. Out-of-sequence percentages and
 //! match times (Table II) therefore come out of the actual data structures.
 
-use std::cell::RefCell;
 use std::collections::{HashSet, VecDeque};
-use std::rc::Rc;
 use std::sync::Arc;
 
 use fairmpi_chaos::XorShift64;
@@ -18,7 +16,7 @@ use rand::{Rng, SeedableRng};
 
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
 use fairmpi_matching::{MatchEvent, Matcher, PostOutcome, PostedRecv, SendSequencer};
-use fairmpi_spc::{Counter, Histogram, SpcSeries, SpcSet, SpcSnapshot, Watermark};
+use fairmpi_spc::{Counter, Histogram, SpcSet, SpcSnapshot, Watermark};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
@@ -1385,6 +1383,9 @@ impl Actor<MrWorld> for RecvWorker {
 // Runner
 // ---------------------------------------------------------------------
 
+/// The periodic scrape callback of [`RunHooks`]: `f(boundary_ns, &spc)`.
+pub type ScrapeFn = Box<dyn FnMut(u64, &SpcSet)>;
+
 /// Observation plumbing for one run (all fields optional; the default
 /// observes nothing).
 ///
@@ -1397,39 +1398,22 @@ pub struct RunHooks {
     /// Accumulate into this counter set instead of a fresh internal one.
     /// Pass a freshly created set unless deliberately aggregating runs.
     pub spc: Option<Arc<SpcSet>>,
-    /// Sample the counter set every this many virtual ns into an
-    /// [`SpcSeries`].
-    pub series_interval_ns: Option<u64>,
     /// `(interval_ns, f)`: call `f(boundary_ns, &spc)` as virtual time
     /// crosses each interval boundary — the MPI_T-session scrape hook.
-    #[allow(clippy::type_complexity)]
-    pub scrape: Option<(u64, Box<dyn FnMut(u64, &SpcSet)>)>,
+    pub scrape: Option<(u64, ScrapeFn)>,
 }
 
 impl MultirateSim {
-    /// Execute the experiment and report the virtual-time result.
+    /// Execute the experiment and report the virtual-time result. Lock and
+    /// actor trace tracks carry workload names (`instance[0].send`,
+    /// `sender[3]`, ...), so a run under an armed recorder is readable.
     pub fn run(&self) -> MultirateResult {
-        self.run_observed(None).0
+        self.run_hooked(RunHooks::default())
     }
 
-    /// Like [`run`](Self::run), but optionally sample the SPC set every
-    /// `series_interval_ns` of virtual time for a rate time-series. Lock
-    /// and actor trace tracks carry workload names (`instance[0].send`,
-    /// `sender[3]`, ...) either way; the series costs nothing when tracing
-    /// or sampling is off.
-    pub fn run_observed(
-        &self,
-        series_interval_ns: Option<u64>,
-    ) -> (MultirateResult, Option<SpcSeries>) {
-        self.run_hooked(RunHooks {
-            series_interval_ns,
-            ..RunHooks::default()
-        })
-    }
-
-    /// Full-control variant: external counter set, SPC series and a
-    /// periodic scrape callback (see [`RunHooks`]).
-    pub fn run_hooked(&self, hooks: RunHooks) -> (MultirateResult, Option<SpcSeries>) {
+    /// Full-control variant: external counter set and a periodic scrape
+    /// callback (see [`RunHooks`]).
+    pub fn run_hooked(&self, hooks: RunHooks) -> MultirateResult {
         assert!(self.pairs >= 1 && self.window >= 1 && self.iterations >= 1);
         let mut design = self.design;
         if design.process_mode {
@@ -1448,7 +1432,6 @@ impl MultirateSim {
             .cost
             .unwrap_or_else(|| CostModel::for_fabric(&self.machine.fabric));
         let spc = hooks.spc.unwrap_or_else(|| Arc::new(SpcSet::new()));
-        let series_interval_ns = hooks.series_interval_ns;
 
         let num_comms = match design.matching {
             SimMatchLayout::SingleComm => 1,
@@ -1526,20 +1509,9 @@ impl MultirateSim {
             sim.name_lock(l, &format!("pool.recv[{i}]"));
         }
 
-        let series = series_interval_ns.map(|ns| Rc::new(RefCell::new(SpcSeries::new(ns))));
-        if let Some(series) = &series {
-            let series = Rc::clone(series);
-            let spc = Arc::clone(&spc);
-            sim.add_tick_hook(
-                series_interval_ns.unwrap(),
-                Box::new(move |boundary_ns, _world| {
-                    series.borrow_mut().sample(boundary_ns, &spc);
-                }),
-            );
-        }
         if let Some((interval_ns, mut scrape)) = hooks.scrape {
             let spc = Arc::clone(&spc);
-            sim.add_tick_hook(
+            sim.install_tick_hook(
                 interval_ns,
                 Box::new(move |boundary_ns, _world| scrape(boundary_ns, &spc)),
             );
@@ -1652,19 +1624,12 @@ impl MultirateSim {
         let total = per_pair * self.pairs as u64;
         let max_events = total.saturating_mul(400) + 20_000_000;
         let makespan = sim.run(max_events);
-        drop(sim); // release the tick hook's Rc clone
-        let result = MultirateResult {
+        MultirateResult {
             msg_rate_per_s: total as f64 / (makespan as f64 / 1e9),
             makespan_ns: makespan,
             total_messages: total,
             spc: spc.snapshot(),
-        };
-        let series = series.map(|s| {
-            Rc::try_unwrap(s)
-                .expect("tick hook dropped with the sim")
-                .into_inner()
-        });
-        (result, series)
+        }
     }
 }
 
@@ -1774,9 +1739,8 @@ mod tests {
         let spc = Arc::new(SpcSet::new());
         let scrapes: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&scrapes);
-        let (r, series) = sim(2, SimDesign::baseline()).run_hooked(RunHooks {
+        let r = sim(2, SimDesign::baseline()).run_hooked(RunHooks {
             spc: Some(Arc::clone(&spc)),
-            series_interval_ns: None,
             scrape: Some((
                 20_000,
                 Box::new(move |t, set| {
@@ -1786,7 +1750,6 @@ mod tests {
                 }),
             )),
         });
-        assert!(series.is_none());
         // The external set IS the run's set: totals agree exactly.
         assert_eq!(spc.get(Counter::MessagesReceived), r.total_messages);
         assert_eq!(spc.snapshot(), r.spc);
@@ -1804,7 +1767,7 @@ mod tests {
     #[test]
     fn offload_design_completes_and_counts_queue_activity() {
         let spc = Arc::new(SpcSet::new());
-        let (r, _) = sim(8, SimDesign::offload(2)).run_hooked(RunHooks {
+        let r = sim(8, SimDesign::offload(2)).run_hooked(RunHooks {
             spc: Some(Arc::clone(&spc)),
             ..RunHooks::default()
         });

@@ -2,9 +2,10 @@
 //! completion events.
 
 use std::cell::Cell;
+use std::iter;
 use std::time::Instant;
 
-use fairmpi_fabric::{Completion, CompletionKind, Envelope, Packet, PacketKind, Rank};
+use fairmpi_fabric::{CommId, Completion, CompletionKind, Envelope, Packet, PacketKind, Rank};
 use fairmpi_matching::MatchEvent;
 use fairmpi_progress::ProgressHandler;
 use fairmpi_spc::Counter;
@@ -18,7 +19,7 @@ use crate::request::Message;
 use crate::rma::WindowId;
 
 thread_local! {
-    /// Reused by every packet this thread hands to a matcher, so a
+    /// Reused by every packet run this thread hands to a matcher, so a
     /// delivery allocates nothing once the buffer has grown.
     static MATCH_EVENTS: Cell<Vec<MatchEvent>> = const { Cell::new(Vec::new()) };
 }
@@ -161,14 +162,14 @@ impl ProcState {
         let _ = self.inject_frame(&ack, false);
     }
 
-    /// Route a matchable packet (eager or rendezvous-RTS) through the
-    /// matching engine and complete whatever it produced.
-    fn handle_matchable(&self, packet: Packet) -> usize {
-        let comm = packet.envelope.comm;
+    /// Route a run of matchable packets (eager or rendezvous-RTS) on one
+    /// communicator through its matcher under a single lock hold, then
+    /// complete whatever matched once the lock is released.
+    fn handle_matchable(&self, comm: CommId, run: impl Iterator<Item = Packet>) -> usize {
         // This thread's event buffer, taken for the call: a nested call
         // would find it empty and use a fresh one.
         let mut events = MATCH_EVENTS.take();
-        let delivered = self.with_matcher(comm, |m| m.deliver(packet, &mut events));
+        let delivered = self.with_matcher_unchecked(comm, |m| m.deliver_batch(run, &mut events));
         debug_assert!(delivered.is_ok(), "packet for unknown communicator {comm}");
         let mut count = 0;
         for ev in events.drain(..) {
@@ -274,6 +275,14 @@ impl ProcState {
     }
 }
 
+/// Whether a packet goes through the matcher (eager or rendezvous-RTS).
+fn matchable(packet: &Packet) -> bool {
+    matches!(
+        packet.kind,
+        PacketKind::Eager | PacketKind::RendezvousRts { .. }
+    )
+}
+
 impl ProgressHandler for ProcState {
     fn on_packet(&self, packet: Packet) -> usize {
         if let Some(rel) = &self.reliability {
@@ -294,7 +303,9 @@ impl ProgressHandler for ProcState {
             }
         }
         match packet.kind {
-            PacketKind::Eager | PacketKind::RendezvousRts { .. } => self.handle_matchable(packet),
+            PacketKind::Eager | PacketKind::RendezvousRts { .. } => {
+                self.handle_matchable(packet.envelope.comm, iter::once(packet))
+            }
             PacketKind::RendezvousCts {
                 sender_token,
                 receiver_token,
@@ -306,6 +317,31 @@ impl ProgressHandler for ProcState {
             // intercepted above.
             PacketKind::Ack { .. } => 0,
         }
+    }
+
+    /// Each run of consecutive matchable packets on one communicator is
+    /// matched under one lock hold; every other packet is handled on its
+    /// own, in arrival order. With a fault plan armed each frame must be
+    /// acked and deduplicated before it may match, so the whole batch takes
+    /// the per-packet path. So does a lone packet (a ping-pong drains one
+    /// per pass): splitting a batch into runs measurably slowed the
+    /// one-packet case.
+    fn on_packets(&self, packets: &mut Vec<Packet>) -> usize {
+        if self.reliability.is_some() || packets.len() == 1 {
+            return packets.drain(..).map(|p| self.on_packet(p)).sum();
+        }
+        let mut count = 0;
+        let mut rest = packets.drain(..).peekable();
+        while let Some(packet) = rest.next() {
+            if !matchable(&packet) {
+                count += self.on_packet(packet);
+                continue;
+            }
+            let comm = packet.envelope.comm;
+            let more = iter::from_fn(|| rest.next_if(|p| matchable(p) && p.envelope.comm == comm));
+            count += self.handle_matchable(comm, iter::once(packet).chain(more));
+        }
+        count
     }
 
     fn on_completion(&self, completion: Completion) -> usize {

@@ -145,7 +145,7 @@ impl ProcBackend {
         let st = &self.state;
         let token = posted.token;
         let comm = posted.comm;
-        match st.with_matcher(comm, |m| m.post_recv(posted)) {
+        match st.with_matcher_unchecked(comm, |m| m.post_recv(posted)) {
             Ok((outcome, _work)) => {
                 if let PostOutcome::Matched(packet) = outcome {
                     st.complete_match(MatchEvent { token, packet });

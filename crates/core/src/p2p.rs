@@ -154,7 +154,12 @@ impl Proc {
     ) -> Result<Request> {
         let _span = trace::span("mpi.recv");
         let st = &self.state;
-        st.with_comm(comm.id, |_| ())?;
+        let offload = st.offload_runtime();
+        if offload.is_some() {
+            // A worker posts the receive later and cannot report a bad
+            // communicator back, so check it now.
+            st.with_comm(comm.id, |_| ())?;
+        }
         let token = st.requests.new_recv(capacity);
         let posted = PostedRecv {
             token,
@@ -162,7 +167,7 @@ impl Proc {
             src,
             tag,
         };
-        if let Some(rt) = st.offload_runtime() {
+        if let Some(rt) = offload {
             // Offload: the descriptor carries an order ticket so workers
             // post receives in program order (the matcher serves posted
             // receives FIFO). Never fails — refusals post inline through
@@ -171,7 +176,14 @@ impl Proc {
             return Ok(Request { token });
         }
         let _big = st.maybe_big_lock();
-        let (outcome, _work) = st.with_matcher(comm.id, |m| m.post_recv(posted))?;
+        // The matcher lookup is the communicator check on this path.
+        let (outcome, _work) = match st.with_matcher(comm.id, |m| m.post_recv(posted)) {
+            Ok(posted) => posted,
+            Err(err) => {
+                st.requests.discard(token);
+                return Err(err);
+            }
+        };
         if let PostOutcome::Matched(packet) = outcome {
             // An unexpected message was already waiting; complete (or, for
             // a rendezvous RTS, grant) it right here.

@@ -193,7 +193,25 @@ impl ProcState {
     /// Run `f` holding the appropriate matching lock, charging the time to
     /// the match-time counter (lock acquisition included — contention on
     /// the matching lock is exactly what Table II's match time exposes).
+    /// `Err(InvalidComm)` when `comm` names no communicator, in either mode.
     pub(crate) fn with_matcher<R>(
+        &self,
+        comm: CommId,
+        f: impl FnOnce(&mut Matcher) -> R,
+    ) -> Result<R> {
+        if matches!(self.design.matching, MatchMode::Global) {
+            // The global matcher is found without a lookup: check here.
+            self.with_comm(comm, |_| ())?;
+        }
+        self.with_matcher_unchecked(comm, f)
+    }
+
+    /// [`with_matcher`](Self::with_matcher) for a communicator already
+    /// checked (a packet's sender checked it; `irecv` checked a receive it
+    /// queued to offload), so Global mode skips the lookup. One call is one
+    /// timed hold, however many packets `f` delivers: a clock read costs as
+    /// much as a counter update several times over.
+    pub(crate) fn with_matcher_unchecked<R>(
         &self,
         comm: CommId,
         f: impl FnOnce(&mut Matcher) -> R,
@@ -422,8 +440,7 @@ impl ProcState {
             // Refused: retire the unused request and drain inline below
             // (the workers still retire the queued puts; progress_once
             // only yields meanwhile).
-            self.requests.complete_send(token);
-            let _ = self.requests.try_reap(token);
+            self.requests.discard(token);
         }
         loop {
             let pending = match target {

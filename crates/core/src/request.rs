@@ -318,6 +318,12 @@ impl RequestTable {
         Some(body.stash.take().unwrap_or_default())
     }
 
+    /// Retire a request nobody will wait on, freeing its slot.
+    pub(crate) fn discard(&self, token: u64) {
+        self.cancel(token);
+        let _ = self.try_reap(token);
+    }
+
     /// Reap a finished request: `None` while it is pending; otherwise its
     /// outcome, after which the token is stale. Exactly one of any number
     /// of racing reapers gets the outcome; the others, and every later

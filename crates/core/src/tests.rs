@@ -277,6 +277,51 @@ fn cancel_unmatched_receive() {
 }
 
 #[test]
+fn receive_calls_reject_a_bogus_communicator() {
+    let bogus = crate::Communicator { id: 999 };
+    let offload = DesignConfig::builder().offload(2).build().unwrap();
+    for design in [
+        DesignConfig::default(),
+        DesignConfig {
+            matching: MatchMode::Global,
+            ..DesignConfig::default()
+        },
+        offload,
+        DesignConfig {
+            matching: MatchMode::Global,
+            ..offload
+        },
+    ] {
+        let world = two_rank_world(design);
+        let comm = world.comm_world();
+        let p1 = world.proc(1);
+        let what = format!("{design:?}");
+        assert_eq!(
+            p1.irecv(8, 0, 0, bogus).unwrap_err(),
+            MpiError::InvalidComm(999),
+            "{what}"
+        );
+        // The refused receive left no request behind.
+        assert_eq!(p1.pending_requests(), 0, "{what}");
+        assert_eq!(
+            p1.iprobe(ANY_SOURCE, ANY_TAG, bogus).unwrap_err(),
+            MpiError::InvalidComm(999),
+            "{what}"
+        );
+        let req = p1.irecv(8, 0, 0, comm).unwrap();
+        assert_eq!(
+            p1.cancel_recv(&req, bogus).unwrap_err(),
+            MpiError::InvalidComm(999),
+            "{what}"
+        );
+        // The receive still matches on its own communicator.
+        world.proc(0).send(b"ok", 1, 0, comm).unwrap();
+        assert_eq!(p1.wait(&req).unwrap().data, b"ok", "{what}");
+        assert_eq!(p1.pending_requests(), 0, "{what}");
+    }
+}
+
+#[test]
 fn sendrecv_exchanges() {
     let world = two_rank_world(DesignConfig::default());
     let comm = world.comm_world();

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use fairmpi_fabric::{CommId, Envelope, Packet, Rank, SeqNo, Tag};
-use fairmpi_spc::{Counter, Histogram, SpcSet, Watermark};
+use fairmpi_spc::{Counter, Histogram, HistogramTally, SpcSet, Watermark, WatermarkCell};
 use fairmpi_trace as trace;
 
 use crate::{MatchEvent, MatchWork, PostOutcome, PostedRecv};
@@ -39,8 +39,85 @@ pub struct Matcher {
     prq: VecDeque<PostedRecv>,
     /// Unexpected-message queue, in arrival (match-admission) order.
     umq: VecDeque<Packet>,
+    /// Packets parked out of sequence, summed over every source.
+    oos_parked: usize,
     /// Counter sink.
     spc: Arc<SpcSet>,
+}
+
+/// Lowest and highest of a run of observed levels.
+struct LevelRange {
+    low: u64,
+    high: u64,
+}
+
+impl Default for LevelRange {
+    fn default() -> Self {
+        Self {
+            low: u64::MAX,
+            high: 0,
+        }
+    }
+}
+
+impl LevelRange {
+    #[inline]
+    fn record(&mut self, level: u64) {
+        self.low = self.low.min(level);
+        self.high = self.high.max(level);
+    }
+
+    fn flush(&self, cell: &WatermarkCell) {
+        if self.low <= self.high {
+            cell.record_span(self.low, self.high);
+        }
+    }
+}
+
+/// The SPC updates of one `deliver_batch` call, gathered on the caller's
+/// stack and flushed once. It is deliberately not a `Matcher` field: the
+/// matcher sits in every communicator's state, and growing that by a
+/// tally's couple of hundred bytes moves its heap layout (and cost latency
+/// when tried). The plain counters need no tally at all: they are sums the
+/// [`MatchWork`] receipt already carries.
+#[derive(Default)]
+struct Tally {
+    deliver_attempts: HistogramTally,
+    oos_replay_chain: HistogramTally,
+    prq_depth: LevelRange,
+    umq_depth: LevelRange,
+    oos_buffered: LevelRange,
+}
+
+impl Tally {
+    fn flush(&self, spc: &SpcSet, work: &MatchWork) {
+        if work.traversed > 0 {
+            spc.add(Counter::MatchQueueTraversals, work.traversed as u64);
+        }
+        if work.matches > 0 {
+            spc.add(Counter::ExpectedMessages, work.matches as u64);
+            spc.add(Counter::MessagesReceived, work.matches as u64);
+        }
+        // Each high-water counter is sampled together with its watermark.
+        if work.unexpected > 0 {
+            spc.add(Counter::UnexpectedMessages, work.unexpected as u64);
+            spc.record_max(Counter::MaxUnexpectedQueueLen, self.umq_depth.high);
+        }
+        if work.oos_buffered > 0 {
+            spc.add(Counter::OutOfSequenceMessages, work.oos_buffered as u64);
+            spc.record_max(Counter::MaxOutOfSequenceBuffered, self.oos_buffered.high);
+        }
+        self.prq_depth
+            .flush(spc.watermark(Watermark::PostedRecvQueueDepth));
+        self.umq_depth
+            .flush(spc.watermark(Watermark::UnexpectedQueueDepth));
+        self.oos_buffered
+            .flush(spc.watermark(Watermark::OutOfSequenceBuffered));
+        spc.histogram(Histogram::MatchDeliverAttempts)
+            .merge(&self.deliver_attempts);
+        spc.histogram(Histogram::OosReplayChain)
+            .merge(&self.oos_replay_chain);
+    }
 }
 
 impl Matcher {
@@ -52,6 +129,7 @@ impl Matcher {
             sources: Vec::new(),
             prq: VecDeque::new(),
             umq: VecDeque::new(),
+            oos_parked: 0,
             spc,
         }
     }
@@ -61,18 +139,51 @@ impl Matcher {
         self.allow_overtaking
     }
 
-    /// Deliver one incoming two-sided packet (eager or rendezvous-RTS).
+    /// Deliver one incoming two-sided packet (eager or rendezvous-RTS): the
+    /// one-packet case of [`deliver_batch`](Self::deliver_batch).
     ///
     /// Matches produced by this call — including replays of previously
     /// buffered out-of-sequence packets that became admissible — are pushed
     /// onto `out`. Returns the work receipt for time accounting.
     pub fn deliver(&mut self, packet: Packet, out: &mut Vec<MatchEvent>) -> MatchWork {
-        let _span = trace::span("match.deliver");
+        self.deliver_batch(std::iter::once(packet), out)
+    }
+
+    /// Deliver packets in arrival order, exactly as that many
+    /// [`deliver`](Self::deliver) calls would: the same events in the same
+    /// order, the same summed receipt, the same counter values. The SPC
+    /// updates are gathered on the stack and flushed once at the end.
+    pub fn deliver_batch(
+        &mut self,
+        packets: impl IntoIterator<Item = Packet>,
+        out: &mut Vec<MatchEvent>,
+    ) -> MatchWork {
         let mut work = MatchWork::default();
+        let mut tally = Tally::default();
+        for packet in packets {
+            self.deliver_one(packet, out, &mut work, &mut tally);
+        }
         if self.allow_overtaking {
-            self.spc.inc(Counter::OvertakenMessages);
-            self.admit(packet, out, &mut work);
-            return work;
+            // Every packet was admitted straight away.
+            let admitted = work.matches + work.unexpected;
+            self.spc.add(Counter::OvertakenMessages, admitted as u64);
+        }
+        tally.flush(&self.spc, &work);
+        work
+    }
+
+    /// Sequence-check and admit one packet, tallying its SPC updates.
+    fn deliver_one(
+        &mut self,
+        packet: Packet,
+        out: &mut Vec<MatchEvent>,
+        work: &mut MatchWork,
+        tally: &mut Tally,
+    ) {
+        let _span = trace::span("match.deliver");
+        if self.allow_overtaking {
+            self.admit(packet, out, work, tally);
+            return;
         }
 
         let (comm, src) = (packet.envelope.comm, packet.envelope.src);
@@ -81,40 +192,37 @@ impl Matcher {
         let seq = packet.envelope.seq;
         if seq == state.expected {
             state.expected += 1;
-            self.admit(packet, out, &mut work);
+            self.admit(packet, out, work, tally);
             // Replaying the out-of-sequence chain that just became ready.
+            let mut replayed = 0;
             loop {
                 let state = self.source_mut(comm, src);
                 match state.out_of_sequence.remove(&state.expected) {
                     Some(parked) => {
                         state.expected += 1;
-                        work.oos_drained += 1;
-                        self.admit(parked, out, &mut work);
+                        replayed += 1;
+                        self.admit(parked, out, work, tally);
                     }
                     None => break,
                 }
             }
-            self.spc
-                .record_hist(Histogram::OosReplayChain, work.oos_drained as u64);
-            if work.oos_drained > 0 {
-                trace::counter("match.oos_flush", work.oos_drained as u64);
+            self.oos_parked -= replayed;
+            work.oos_drained += replayed;
+            tally.oos_replay_chain.record(replayed as u64);
+            if replayed > 0 {
+                trace::counter("match.oos_flush", replayed as u64);
             }
         } else if seq > state.expected {
             state.out_of_sequence.insert(seq, packet);
+            self.oos_parked += 1;
             work.oos_buffered += 1;
             trace::instant("match.oos_insert");
-            self.spc.inc(Counter::OutOfSequenceMessages);
-            let buffered = self.out_of_sequence_len();
-            self.spc
-                .record_max(Counter::MaxOutOfSequenceBuffered, buffered as u64);
-            self.spc
-                .record_level(Watermark::OutOfSequenceBuffered, buffered as u64);
+            tally.oos_buffered.record(self.oos_parked as u64);
         } else {
             // A sequence number below `expected` means the fabric delivered
             // a duplicate — the wire never does that, so this is a bug.
             debug_assert!(false, "duplicate sequence number {seq} < expected");
         }
-        work
     }
 
     /// The reassembly state of `(comm, src)`, created on first use.
@@ -131,7 +239,13 @@ impl Matcher {
     }
 
     /// Admit one in-sequence (or overtaking) packet to queue matching.
-    fn admit(&mut self, packet: Packet, out: &mut Vec<MatchEvent>, work: &mut MatchWork) {
+    fn admit(
+        &mut self,
+        packet: Packet,
+        out: &mut Vec<MatchEvent>,
+        work: &mut MatchWork,
+        tally: &mut Tally,
+    ) {
         let mut inspected = 0usize;
         let hit = self.prq.iter().position(|r| {
             inspected += 1;
@@ -139,18 +253,12 @@ impl Matcher {
         });
         work.traversed += inspected;
         trace::counter("match.search_len", inspected as u64);
-        self.spc
-            .add(Counter::MatchQueueTraversals, inspected as u64);
-        self.spc
-            .record_hist(Histogram::MatchDeliverAttempts, inspected as u64);
+        tally.deliver_attempts.record(inspected as u64);
         match hit {
             Some(pos) => {
                 let recv = self.prq.remove(pos).expect("position valid");
                 work.matches += 1;
-                self.spc.inc(Counter::ExpectedMessages);
-                self.spc.inc(Counter::MessagesReceived);
-                self.spc
-                    .record_level(Watermark::PostedRecvQueueDepth, self.prq.len() as u64);
+                tally.prq_depth.record(self.prq.len() as u64);
                 out.push(MatchEvent {
                     token: recv.token,
                     packet,
@@ -159,11 +267,7 @@ impl Matcher {
             None => {
                 self.umq.push_back(packet);
                 work.unexpected += 1;
-                self.spc.inc(Counter::UnexpectedMessages);
-                self.spc
-                    .record_max(Counter::MaxUnexpectedQueueLen, self.umq.len() as u64);
-                self.spc
-                    .record_level(Watermark::UnexpectedQueueDepth, self.umq.len() as u64);
+                tally.umq_depth.record(self.umq.len() as u64);
             }
         }
     }
@@ -243,11 +347,7 @@ impl Matcher {
 
     /// Messages currently parked out of sequence, across all sources.
     pub fn out_of_sequence_len(&self) -> usize {
-        self.sources
-            .iter()
-            .flatten()
-            .map(|s| s.out_of_sequence.len())
-            .sum()
+        self.oos_parked
     }
 
     /// The next sequence number expected from `(comm, src)`.

@@ -430,3 +430,149 @@ mod properties {
         assert_eq!(ev.packet.envelope.src, 1);
     }
 }
+
+/// `deliver_batch` against per-packet `deliver`: every case must produce
+/// the same events in the same order, the same summed receipt and the
+/// same value in every counter, watermark and histogram cell.
+mod batch_equivalence {
+    use super::*;
+    use crate::MatchWork;
+    use fairmpi_spc::{Histogram, SpcSnapshot, Watermark, HISTOGRAM_BUCKETS};
+
+    /// Everything an `SpcSet` holds.
+    type SpcState = (
+        SpcSnapshot,
+        Vec<(u64, u64)>,
+        Vec<([u64; HISTOGRAM_BUCKETS], u64, u64)>,
+    );
+
+    fn spc_state(spc: &SpcSet) -> SpcState {
+        let watermarks = Watermark::ALL
+            .iter()
+            .map(|&w| (spc.watermark(w).high(), spc.watermark(w).low()))
+            .collect();
+        let histograms = Histogram::ALL
+            .iter()
+            .map(|&h| {
+                let cell = spc.histogram(h);
+                (cell.snapshot(), cell.sum(), cell.count())
+            })
+            .collect();
+        (spc.snapshot(), watermarks, histograms)
+    }
+
+    /// Run `packets` through a fresh matcher prepared by `posts`, either
+    /// one `deliver` per packet or `deliver_batch` over chunks of `chunk`.
+    fn run(
+        overtaking: bool,
+        posts: &[PostedRecv],
+        packets: &[Packet],
+        chunk: Option<usize>,
+    ) -> (Vec<MatchEvent>, MatchWork, SpcState) {
+        let mut m = matcher(overtaking);
+        for &r in posts {
+            m.post_recv(r);
+        }
+        let mut out = Vec::new();
+        let mut work = MatchWork::default();
+        match chunk {
+            None => {
+                for p in packets {
+                    work.absorb(m.deliver(p.clone(), &mut out));
+                }
+            }
+            Some(n) => {
+                for batch in packets.chunks(n) {
+                    work.absorb(m.deliver_batch(batch.iter().cloned(), &mut out));
+                }
+            }
+        }
+        (out, work, spc_state(m.spc()))
+    }
+
+    fn assert_equivalent(overtaking: bool, posts: &[PostedRecv], packets: &[Packet]) {
+        let expected = run(overtaking, posts, packets, None);
+        for chunk in [packets.len().max(1), 7, 1] {
+            let got = run(overtaking, posts, packets, Some(chunk));
+            assert_eq!(got.0, expected.0, "events, batches of {chunk}");
+            assert_eq!(got.1, expected.1, "work, batches of {chunk}");
+            assert!(got.2 == expected.2, "SPC state, batches of {chunk}");
+        }
+    }
+
+    fn posts(n: u64, src: i32, comm: u32) -> Vec<PostedRecv> {
+        (0..n).map(|t| recv(t, src, ANY_TAG, comm)).collect()
+    }
+
+    #[test]
+    fn in_order() {
+        let packets: Vec<_> = (0..128).map(|s| pkt(0, s as i32, 0, s)).collect();
+        assert_equivalent(false, &posts(100, 0, 0), &packets);
+    }
+
+    #[test]
+    fn reversed_window_parks_then_replays() {
+        let packets: Vec<_> = (0..128).rev().map(|s| pkt(0, s as i32, 0, s)).collect();
+        let expected = run(false, &posts(128, 0, 0), &packets, None);
+        assert_eq!(expected.1.oos_buffered, 127, "the case exercises OOS");
+        assert_eq!(expected.1.oos_drained, 127);
+        assert_equivalent(false, &posts(128, 0, 0), &packets);
+    }
+
+    #[test]
+    fn unexpected_first() {
+        let packets: Vec<_> = (0..64).map(|s| pkt(0, 3, 0, s)).collect();
+        assert_equivalent(false, &[], &packets);
+        // Some receives posted, but for a tag nothing carries: every packet
+        // searches the whole posted queue and lands unexpected.
+        let misses: Vec<_> = (0..4).map(|t| recv(t, 0, 9, 0)).collect();
+        assert_equivalent(false, &misses, &packets);
+    }
+
+    #[test]
+    fn allow_overtaking() {
+        let packets: Vec<_> = [5u64, 0, 3, 1, 4, 2, 9, 7, 8, 6]
+            .iter()
+            .map(|&s| pkt(1, s as i32, 0, s))
+            .collect();
+        assert_equivalent(true, &posts(6, 1, 0), &packets);
+    }
+
+    #[test]
+    fn two_communicators_interleaved() {
+        // Both communicators out of sequence, interleaved packet by packet.
+        let order = [2u64, 0, 1, 5, 3, 4, 7, 6];
+        let packets: Vec<_> = order
+            .iter()
+            .flat_map(|&s| [pkt(0, s as i32, 0, s), pkt(0, s as i32, 1, s)])
+            .collect();
+        let mut recvs = posts(5, 0, 1);
+        recvs.extend(posts(3, ANY_SOURCE, 0));
+        assert_equivalent(false, &recvs, &packets);
+    }
+}
+
+#[test]
+fn out_of_sequence_count_is_kept_across_sources_and_communicators() {
+    let mut m = matcher(false);
+    let mut out = Vec::new();
+    // Park 3 from (comm 0, src 1) and 2 from (comm 1, src 2).
+    for seq in [3, 1, 2] {
+        m.deliver(pkt(1, 0, 0, seq), &mut out);
+    }
+    for seq in [2, 1] {
+        m.deliver(pkt(2, 0, 1, seq), &mut out);
+    }
+    assert_eq!(m.out_of_sequence_len(), 5);
+    // Releasing comm 0's chain replays its three.
+    m.deliver(pkt(1, 0, 0, 0), &mut out);
+    assert_eq!(m.out_of_sequence_len(), 2);
+    m.deliver(pkt(1, 0, 0, 6), &mut out);
+    assert_eq!(m.out_of_sequence_len(), 3);
+    m.deliver(pkt(2, 0, 1, 0), &mut out);
+    assert_eq!(m.out_of_sequence_len(), 1);
+    let spc = m.spc();
+    assert_eq!(spc.get(Counter::MaxOutOfSequenceBuffered), 5);
+    let level = spc.watermark(fairmpi_spc::Watermark::OutOfSequenceBuffered);
+    assert_eq!((level.low(), level.high()), (1, 5));
+}

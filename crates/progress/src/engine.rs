@@ -27,6 +27,13 @@ pub enum ProgressMode {
 pub trait ProgressHandler {
     /// An incoming packet was extracted from a context's rx ring.
     fn on_packet(&self, packet: Packet) -> usize;
+    /// One visit's packets, extracted from an instance in arrival order.
+    /// The handler takes every packet out, leaving `packets` empty so the
+    /// engine can reuse it. The default hands them to
+    /// [`on_packet`](Self::on_packet) one at a time.
+    fn on_packets(&self, packets: &mut Vec<Packet>) -> usize {
+        packets.drain(..).map(|p| self.on_packet(p)).sum()
+    }
     /// A local completion event was extracted from a completion queue.
     fn on_completion(&self, completion: Completion) -> usize;
 }
@@ -156,7 +163,7 @@ impl ProgressEngine {
     /// Try-lock one instance, extract up to the drain budget (charging
     /// extraction overhead under the lock), release, then handle the items.
     /// Completions drain first, then packets; each queue's lock is taken
-    /// once per batch.
+    /// once per batch, and the packets go to the handler as one batch.
     fn drain_one<H: ProgressHandler>(&self, cri: &Arc<Cri>, handler: &H) -> usize {
         if !cri.is_alive() {
             // Quarantined by the fault plan: its CQ reports nothing ever
@@ -196,8 +203,9 @@ impl ProgressEngine {
             for c in batch.completions.drain(..) {
                 count += handler.on_completion(c);
             }
-            for p in batch.packets.drain(..) {
-                count += handler.on_packet(p);
+            if !batch.packets.is_empty() {
+                count += handler.on_packets(&mut batch.packets);
+                debug_assert!(batch.packets.is_empty(), "handler left packets");
             }
         }
         BATCH.set(batch);

@@ -176,6 +176,37 @@ fn drain_budget_bounds_items_per_visit() {
 }
 
 #[test]
+fn each_visit_hands_its_packets_over_as_one_batch() {
+    /// Records the size of every batch and the order of its packets.
+    #[derive(Default)]
+    struct Batches(Mutex<Vec<Vec<u64>>>);
+    impl ProgressHandler for Batches {
+        fn on_packet(&self, _: Packet) -> usize {
+            unreachable!("the engine hands packets over in batches")
+        }
+        fn on_packets(&self, packets: &mut Vec<Packet>) -> usize {
+            let seqs: Vec<u64> = packets.drain(..).map(|p| p.envelope.seq).collect();
+            let n = seqs.len();
+            self.0.lock().push(seqs);
+            n
+        }
+        fn on_completion(&self, _: Completion) -> usize {
+            0
+        }
+    }
+    let (fabric, _pool, engine) = setup(1, ProgressMode::Serial);
+    let engine = engine.with_drain_budget(4);
+    for seq in 0..6 {
+        fabric.deliver(packet(1, seq), 0);
+    }
+    let handler = Batches::default();
+    assert_eq!(engine.progress(Assignment::RoundRobin, &handler), 4);
+    assert_eq!(engine.progress(Assignment::RoundRobin, &handler), 2);
+    assert_eq!(engine.progress(Assignment::RoundRobin, &handler), 0);
+    assert_eq!(*handler.0.lock(), vec![vec![0, 1, 2, 3], vec![4, 5]]);
+}
+
+#[test]
 fn completions_release_pending_ops() {
     let (_fabric, pool, engine) = setup(1, ProgressMode::Serial);
     let cri = pool.instance(0);

@@ -4,8 +4,10 @@
 //! summarized by a single counter: the paper's matching pathology is a
 //! *distribution* question — most searches are short, a heavy tail is what
 //! burns the match time. Each [`Histogram`] id owns a fixed array of
-//! power-of-two buckets in an [`crate::SpcSet`]; recording is one relaxed
-//! `fetch_add`, so the probe stays as cheap as a counter bump.
+//! power-of-two buckets in an [`crate::SpcSet`]; recording is a relaxed
+//! `fetch_add` on one bucket plus a sum update, and a caller recording many
+//! values in a row tallies them locally ([`HistogramTally`]) and merges
+//! once.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -83,16 +85,17 @@ pub fn bucket_upper_bound(b: usize) -> Option<u64> {
     }
 }
 
-/// One live histogram: bucket counts plus sum/count for mean derivation.
+/// One live histogram: bucket counts plus a sum for mean derivation. The
+/// observation count is the bucket total, so recording keeps no separate
+/// count.
 ///
 /// Buckets share the cell's cache line(s) rather than getting a line each —
-/// a histogram update touches exactly one bucket plus sum and count, and
-/// the `SpcSet` pads whole cells against *neighboring* cells instead.
+/// a histogram update touches exactly one bucket plus the sum, and the
+/// `SpcSet` pads whole cells against *neighboring* cells instead.
 #[derive(Debug)]
 pub struct HistogramCell {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Default for HistogramCell {
@@ -107,7 +110,6 @@ impl HistogramCell {
         Self {
             buckets: [const { AtomicU64::new(0) }; HISTOGRAM_BUCKETS],
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 
@@ -122,7 +124,26 @@ impl HistogramCell {
                 Some(s.saturating_add(value))
             })
             .ok();
-        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Fold a whole [`HistogramTally`] in: one `fetch_add` per bucket the
+    /// tally hit, plus the sum, however many observations it holds.
+    /// Equivalent to [`record`](Self::record)ing each of them.
+    #[inline]
+    pub fn merge(&self, tally: &HistogramTally) {
+        let mut hit = tally.hit;
+        while hit != 0 {
+            let b = hit.trailing_zeros() as usize;
+            self.buckets[b].fetch_add(tally.buckets[b] as u64, Ordering::Relaxed);
+            hit &= hit - 1;
+        }
+        if tally.sum != 0 {
+            self.sum
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                    Some(s.saturating_add(tally.sum))
+                })
+                .ok();
+        }
     }
 
     /// Point-in-time copy of the bucket counts.
@@ -141,7 +162,7 @@ impl HistogramCell {
 
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     /// Forget all observations (see [`crate::SpcSet::reset`] for the
@@ -151,7 +172,31 @@ impl HistogramCell {
             b.store(0, Ordering::Relaxed);
         }
         self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
+    }
+}
+
+/// Observations gathered in plain (non-atomic) memory and folded into a
+/// [`HistogramCell`] by one [`HistogramCell::merge`]: the batch form of
+/// [`HistogramCell::record`] for a caller that records many values in a
+/// row (up to `u32::MAX` of them). A bit mask marks the buckets hit, so
+/// the merge touches only those.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HistogramTally {
+    hit: u16,
+    buckets: [u32; HISTOGRAM_BUCKETS],
+    sum: u64,
+}
+
+const _: () = assert!(HISTOGRAM_BUCKETS <= u16::BITS as usize);
+
+impl HistogramTally {
+    /// Tally one observation.
+    #[inline]
+    pub fn record(&mut self, value: u64) {
+        let b = bucket_for(value);
+        self.hit |= 1 << b;
+        self.buckets[b] += 1;
+        self.sum = self.sum.saturating_add(value);
     }
 }
 
@@ -217,6 +262,25 @@ mod tests {
         h.record(u64::MAX);
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.count(), 2);
+    }
+
+    #[test]
+    fn merging_a_tally_equals_recording_each_value() {
+        let values = [0, 1, 1, 2, 3, 7, 1024, 0, u64::MAX, 5];
+        let recorded = HistogramCell::new();
+        let merged = HistogramCell::new();
+        let mut tally = HistogramTally::default();
+        for v in values {
+            recorded.record(v);
+            tally.record(v);
+        }
+        merged.record(9); // merging adds to what the cell already holds
+        recorded.record(9);
+        merged.merge(&tally);
+        merged.merge(&HistogramTally::default());
+        assert_eq!(merged.snapshot(), recorded.snapshot());
+        assert_eq!(merged.sum(), recorded.sum());
+        assert_eq!(merged.count(), recorded.count());
     }
 
     #[test]

@@ -32,7 +32,9 @@ mod timer;
 mod watermark;
 
 pub use counter::Counter;
-pub use histogram::{bucket_for, bucket_upper_bound, Histogram, HistogramCell, HISTOGRAM_BUCKETS};
+pub use histogram::{
+    bucket_for, bucket_upper_bound, Histogram, HistogramCell, HistogramTally, HISTOGRAM_BUCKETS,
+};
 pub use set::SpcSet;
 pub use snapshot::SpcSnapshot;
 pub use timer::ScopedTimer;

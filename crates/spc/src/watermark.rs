@@ -101,11 +101,18 @@ impl WatermarkCell {
     /// load only ever sends the sample to the atomic update).
     #[inline]
     pub fn record(&self, level: u64) {
-        if level > self.high.load(Ordering::Relaxed) {
-            self.high.fetch_max(level, Ordering::Relaxed);
+        self.record_span(level, level);
+    }
+
+    /// Fold in a run of observations whose lowest level was `low` and
+    /// whose highest was `high`: the same extremes as recording each one.
+    #[inline]
+    pub fn record_span(&self, low: u64, high: u64) {
+        if high > self.high.load(Ordering::Relaxed) {
+            self.high.fetch_max(high, Ordering::Relaxed);
         }
-        if level < self.low.load(Ordering::Relaxed) {
-            self.low.fetch_min(level, Ordering::Relaxed);
+        if low < self.low.load(Ordering::Relaxed) {
+            self.low.fetch_min(low, Ordering::Relaxed);
         }
     }
 
@@ -161,6 +168,16 @@ mod tests {
         assert_eq!(c.high(), 11);
         assert_eq!(c.low(), 3);
         assert!(c.touched());
+    }
+
+    #[test]
+    fn record_span_equals_recording_each_level() {
+        let (each, span) = (WatermarkCell::new(), WatermarkCell::new());
+        for level in [7, 3, 11] {
+            each.record(level);
+        }
+        span.record_span(3, 11);
+        assert_eq!((span.high(), span.low()), (each.high(), each.low()));
     }
 
     #[test]

@@ -183,3 +183,58 @@ fn rendezvous_messages_are_received_once() {
         "each message counted once"
     );
 }
+
+/// Batched matching keeps the books: on a native multi-threaded run every
+/// message is received once, the deliver-attempts histogram holds exactly
+/// one observation per packet handed to a matcher (eager and
+/// rendezvous-RTS; DATA packets bypass matching), and the match time,
+/// now timed per batch, is still charged.
+#[test]
+fn batched_matching_counts_every_packet_once() {
+    use fairmpi_spc::Histogram;
+    const PAIRS: u32 = 3;
+    const MSGS: u32 = 60;
+    for design in [
+        DesignConfig::default(),
+        DesignConfig::builder().proposed(2).build().unwrap(),
+    ] {
+        let world = World::builder().ranks(2).design(design).build();
+        let comm = world.comm_world();
+        let threshold = world.fabric_config().eager_threshold;
+        let len = |i: u32| if i % 10 == 9 { threshold + 1 } else { 8 };
+        std::thread::scope(|s| {
+            for t in 0..PAIRS {
+                let (p0, p1) = (world.proc(0), world.proc(1));
+                s.spawn(move || {
+                    for i in 0..MSGS {
+                        p0.send(&vec![1u8; len(i)], 1, t as i32, comm).unwrap();
+                    }
+                });
+                s.spawn(move || {
+                    for i in 0..MSGS {
+                        let m = p1.recv(threshold + 1, 0, t as i32, comm).unwrap();
+                        assert_eq!(m.data.len(), len(i));
+                    }
+                });
+            }
+        });
+        // MessagesSent counts every packet injected (CTS and DATA too), so
+        // the messages sent are the eager plus the rendezvous sends.
+        let merged = world.spc_merged();
+        let sent = merged[Counter::EagerSends] + merged[Counter::RendezvousSends];
+        assert_eq!(sent, u64::from(PAIRS * MSGS));
+        assert_eq!(
+            merged[Counter::RendezvousSends],
+            u64::from(PAIRS * MSGS / 10)
+        );
+        let receiver = world.proc(1);
+        let spc = receiver.spc();
+        assert_eq!(spc.get(Counter::MessagesReceived), sent);
+        assert_eq!(
+            spc.histogram(Histogram::MatchDeliverAttempts).count(),
+            sent,
+            "one deliver observation per matched packet under {design:?}"
+        );
+        assert!(spc.get(Counter::MatchTimeNanos) > 0);
+    }
+}

@@ -306,3 +306,70 @@ fn multirate_window_leaks_no_requests() {
         assert_eq!(p1.pending_requests(), 0, "{design:?}");
     }
 }
+
+/// Everything is on the wire before the receiver does anything, so its
+/// first progress pass drains one mixed batch: eager and rendezvous-RTS
+/// packets on two communicators with repeated tags. However the batch is
+/// cut into runs for the matcher, each (communicator, source, tag) must
+/// deliver in send order, and every rendezvous payload must arrive intact.
+#[test]
+fn one_drained_batch_keeps_mpi_order() {
+    const MSGS: usize = 48;
+    for design in [
+        DesignConfig::default(),
+        DesignConfig {
+            matching: MatchMode::Global,
+            ..DesignConfig::default()
+        },
+    ] {
+        let world = World::builder().ranks(2).design(design).build();
+        let comms = [world.comm_world(), world.new_comm()];
+        let threshold = world.fabric_config().eager_threshold;
+        let (p0, p1) = (world.proc(0), world.proc(1));
+        // Message i: communicator (i / 3) % 2, tag i % 3, every fifth one
+        // above the eager threshold; its payload encodes i.
+        let plan = |i: usize| {
+            let len = if i % 5 == 4 {
+                threshold + 1 + i
+            } else {
+                i % 17
+            };
+            let payload: Vec<u8> = (0..len).map(|j| (i * 7 + j) as u8).collect();
+            ((i / 3) % 2, (i % 3) as i32, payload)
+        };
+        let sends: Vec<_> = (0..MSGS)
+            .map(|i| {
+                let (c, tag, payload) = plan(i);
+                p0.isend(&payload, 1, tag, comms[c]).unwrap()
+            })
+            .collect();
+
+        assert_eq!(p1.progress(), 0, "nothing is posted yet");
+        let spc = p1.spc_snapshot();
+        assert_eq!(spc[Counter::ProgressCalls], 1);
+        assert_eq!(spc[Counter::CompletionsDrained], MSGS as u64, "one pass");
+        assert_eq!(spc[Counter::UnexpectedMessages], MSGS as u64);
+
+        // Post per communicator, then per tag: not the send order.
+        let mut recvs = Vec::new();
+        for (c, &comm) in comms.iter().enumerate() {
+            for tag in 0..3 {
+                for i in (0..MSGS).filter(|&i| plan(i).0 == c && plan(i).1 == tag) {
+                    let req = p1.irecv(threshold + 1 + MSGS, 0, tag, comm).unwrap();
+                    recvs.push((i, req));
+                }
+            }
+        }
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for req in &sends {
+                    p0.wait(req).unwrap();
+                }
+            });
+            for (i, req) in &recvs {
+                let m = p1.wait(req).unwrap();
+                assert_eq!(m.data, plan(*i).2, "message {i} out of order or damaged");
+            }
+        });
+    }
+}

@@ -10,6 +10,15 @@ export CARGO_NET_OFFLINE=true
 echo "== build (release, default features) =="
 cargo build --release --workspace --offline
 
+echo "== ablation sweeps (virtual time) =="
+# Eleven points: five instance counts, three windows, three lock bounce
+# penalties. The bounce sweep must reach the simulated instance locks, so
+# its three points must carry three distinct rates.
+ablation=$(target/release/ablation)
+echo "$ablation"
+[ "$(printf '%s\n' "$ablation" | wc -l)" -eq 11 ]
+[ "$(printf '%s\n' "$ablation" | awk '/bounce=/ {print $(NF-2)}' | sort -u | wc -l)" -eq 3 ]
+
 echo "== build (trace hooks compiled out) =="
 cargo build --offline -p fairmpi-bench --no-default-features
 

@@ -22,9 +22,10 @@
 //! report) and `--pvars <out.json>` (MPI_T-style performance-variable
 //! snapshot with a per-interval time-series of every pvar, plus a
 //! Prometheus page); see [`observe`] for how observability mode changes
-//! what runs. Every binary additionally writes a versioned
-//! machine-readable result file `results/BENCH_<name>.json`; diff two of
-//! them with the `fairmpi-report` binary (see [`report`]).
+//! what runs. Every binary but `ablation` (which only prints its virtual
+//! rates) additionally writes a versioned machine-readable result file
+//! `results/BENCH_<name>.json`; diff two of them with the `fairmpi-report`
+//! binary (see [`report`]).
 
 pub mod figures;
 pub mod observe;

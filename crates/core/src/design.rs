@@ -29,21 +29,6 @@ pub enum LockModel {
     GlobalCriticalSection,
 }
 
-/// MPI threading levels (paper §II-A). The runtime always *grants*
-/// `Multiple`; lower levels only relax internal protection the way real
-/// implementations do, and are provided for completeness of the API.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ThreadLevel {
-    /// One thread per process.
-    Single,
-    /// Many threads, only the main thread calls MPI.
-    Funneled,
-    /// Many threads call MPI, never concurrently.
-    Serialized,
-    /// Full thread concurrency — the subject of the study.
-    Multiple,
-}
-
 /// What happens when an operation fails irrecoverably (retry budget
 /// exhausted, every instance dead) — the MPI error-handler axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -73,8 +58,6 @@ pub struct DesignConfig {
     pub lock_model: LockModel,
     /// Default `mpi_assert_allow_overtaking` for new communicators.
     pub allow_overtaking: bool,
-    /// Requested threading level.
-    pub thread_level: ThreadLevel,
     /// Number of dedicated offload (communication) worker threads; 0
     /// disables offload and application threads drive the engine directly.
     /// With offload enabled, every `isend`/`irecv`/`put`/`flush` enqueues a
@@ -102,7 +85,6 @@ impl Default for DesignConfig {
             matching: MatchMode::PerCommunicator,
             lock_model: LockModel::PerInstance,
             allow_overtaking: false,
-            thread_level: ThreadLevel::Multiple,
             offload_workers: 0,
             chaos: None,
             error_handler: ErrorHandler::ErrorsReturn,
@@ -120,6 +102,35 @@ impl DesignConfig {
             config: Self::default(),
         }
     }
+
+    /// Reject the axis combinations the runtime cannot honor (listed on
+    /// [`DesignConfigBuilder::build`]); the one check behind `build` and
+    /// [`crate::tuning::Cvars::resolve`].
+    pub(crate) fn check(&self) -> std::result::Result<(), Rejection> {
+        if self.num_instances == 0 {
+            return Err(Rejection {
+                cvar: "num_instances",
+                value: self.num_instances,
+                reason: "at least one communication instance is required",
+            });
+        }
+        if self.offload_workers > 0 && self.lock_model == LockModel::GlobalCriticalSection {
+            return Err(Rejection {
+                cvar: "offload_workers",
+                value: self.offload_workers,
+                reason: "offload workers under a global critical section",
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Why [`DesignConfig::check`] rejected a design: the control variable of
+/// the offending axis, that axis's value, and the reason.
+pub(crate) struct Rejection {
+    pub(crate) cvar: &'static str,
+    pub(crate) value: usize,
+    pub(crate) reason: &'static str,
 }
 
 /// Typed, validating builder for [`DesignConfig`], replacing the former
@@ -195,12 +206,6 @@ impl DesignConfigBuilder {
         self
     }
 
-    /// Requested threading level.
-    pub fn thread_level(mut self, level: ThreadLevel) -> Self {
-        self.config.thread_level = level;
-        self
-    }
-
     /// Number of dedicated offload worker threads (0 disables offload).
     /// Unlike [`DesignConfigBuilder::offload`], this sets only the worker
     /// count — combine with the other axes explicitly.
@@ -230,18 +235,10 @@ impl DesignConfigBuilder {
     ///   runtime's locks, while the big-lock emulation serializes every
     ///   call; a world honoring both would measure neither design.
     pub fn build(self) -> Result<DesignConfig> {
-        let c = self.config;
-        if c.num_instances == 0 {
-            return Err(MpiError::InvalidDesign(
-                "at least one communication instance is required",
-            ));
-        }
-        if c.offload_workers > 0 && c.lock_model == LockModel::GlobalCriticalSection {
-            return Err(MpiError::InvalidDesign(
-                "offload workers under a global critical section",
-            ));
-        }
-        Ok(c)
+        self.config
+            .check()
+            .map_err(|r| MpiError::InvalidDesign(r.reason))?;
+        Ok(self.config)
     }
 }
 
@@ -413,7 +410,6 @@ mod tests {
             .matching(MatchMode::Global)
             .lock_model(LockModel::GlobalCriticalSection)
             .allow_overtaking(true)
-            .thread_level(ThreadLevel::Serialized)
             .build()
             .unwrap();
         assert_eq!(d.num_instances, 3);
@@ -422,7 +418,6 @@ mod tests {
         assert_eq!(d.matching, MatchMode::Global);
         assert_eq!(d.lock_model, LockModel::GlobalCriticalSection);
         assert!(d.allow_overtaking);
-        assert_eq!(d.thread_level, ThreadLevel::Serialized);
     }
 
     #[test]

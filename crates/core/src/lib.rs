@@ -68,7 +68,7 @@ pub use collectives::ReduceOp;
 pub use comm::Communicator;
 pub use design::{
     Assignment, DesignConfig, DesignConfigBuilder, DesignPreset, ErrorHandler, LockModel,
-    MatchMode, ProgressMode, ThreadLevel,
+    MatchMode, ProgressMode,
 };
 pub use error::{MpiError, Result};
 pub use proc::Proc;

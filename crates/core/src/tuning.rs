@@ -153,7 +153,9 @@ impl Cvars {
     }
 
     /// Resolve into a design configuration, starting from the default
-    /// (original Open MPI) design.
+    /// (original Open MPI) design. A design the runtime cannot honor (the
+    /// combinations [`crate::DesignConfigBuilder::build`] rejects) is an
+    /// error naming the offending variable.
     pub fn resolve(&self) -> Result<DesignConfig, CvarError> {
         self.resolve_over(DesignConfig::default())
     }
@@ -210,6 +212,9 @@ impl Cvars {
                 _ => return Err(err(name, value)),
             }
         }
+        design
+            .check()
+            .map_err(|r| err(r.cvar, &r.value.to_string()))?;
         Ok(design)
     }
 }
@@ -255,6 +260,27 @@ mod tests {
         assert!(bad.resolve().is_err());
         let bad = Cvars::new().set("num_instances", "many").unwrap();
         assert!(bad.resolve().is_err());
+    }
+
+    #[test]
+    fn designs_the_builder_rejects_are_rejected() {
+        let err = Cvars::new()
+            .set("num_instances", "0")
+            .unwrap()
+            .resolve()
+            .unwrap_err();
+        assert_eq!(err.name, "num_instances");
+        assert_eq!(err.value, "0");
+
+        let err = Cvars::new()
+            .set("offload_workers", "2")
+            .unwrap()
+            .set("lock_model", "global_critical_section")
+            .unwrap()
+            .resolve()
+            .unwrap_err();
+        assert_eq!(err.name, "offload_workers");
+        assert_eq!(err.value, "2");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! fabric config; this adds the software-path constants, calibrated so that
 //! a single-threaded pair lands near the paper's ~0.5 M msg/s and the
 //! contention regimes reproduce the reported ratios. Every figure harness
-//! prints the model it used, and the ablation benches sweep the sensitive
+//! prints the model it used, and the `ablation` binary sweeps the sensitive
 //! knobs.
 
 use fairmpi_fabric::FabricConfig;

@@ -1474,12 +1474,14 @@ impl MultirateSim {
         let mut sim = Sim::new(params, world);
 
         // Contention profiles. Instance and big locks are pthread-style
-        // mutexes: heavily crowded hand-offs go through futex wake-ups
-        // (the parked regime) — this is what collapses 20 threads sharing
-        // one instance. Matching locks see short bursts (posting windows),
-        // so they park later and cheaper. Request pools are atomic LIFOs:
-        // hand-offs are cache-line transfers only.
-        let mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(70, 16, 3, 2_200);
+        // mutexes with the machine's hand-off penalty: heavily crowded
+        // hand-offs go through futex wake-ups (the parked regime) — this is
+        // what collapses 20 threads sharing one instance. Matching locks see
+        // short bursts (posting windows), so they park later and cheaper.
+        // Request pools are atomic LIFOs: hand-offs are cache-line transfers
+        // only.
+        let (bounce_ns, bounce_cap) = (params.lock_bounce_ns, params.lock_bounce_cap);
+        let mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(bounce_ns, bounce_cap, 3, 2_200);
         let match_mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(60, 8, 6, 700);
         let cas = |sim: &mut Sim<MrWorld>| sim.add_lock_with(25, 8);
         let send_locks: Arc<[LockId]> = (0..instances).map(|_| mutex(&mut sim)).collect();
@@ -1862,6 +1864,20 @@ mod tests {
         assert_eq!(r.spc[Counter::MessagesReceived], r.total_messages);
         assert!(r.spc[Counter::Retransmits] > 0);
         assert!(r.spc[Counter::DuplicatesSuppressed] > 0);
+    }
+
+    #[test]
+    fn instance_locks_follow_the_machine_bounce_penalty() {
+        let rate = |bounce_ns| {
+            let mut s = sim(16, SimDesign::baseline());
+            s.window = 32;
+            s.machine.sched.lock_bounce_ns = bounce_ns;
+            s.run().msg_rate_per_s
+        };
+        assert!(
+            rate(300) < rate(0),
+            "16 pairs on one instance must slow down as lock hand-offs cost more"
+        );
     }
 
     #[test]

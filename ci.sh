@@ -25,12 +25,14 @@ cargo build --offline -p fairmpi-bench --no-default-features
 echo "== test =="
 cargo test -q --workspace --offline
 
-echo "== test (release build: batched matching) =="
-# The batched drain-to-match path, built as the benchmark runs it: with
-# optimisations and without overflow checks. Batch sizes do not depend on
+echo "== test (release build: batched matching and retirement) =="
+# The batched drain-to-match path and the per-run retirement of one-sided
+# completions, built as the benchmark runs them: with optimisations and
+# without overflow checks or debug assertions. Batch sizes do not depend on
 # the build: in debug and release alike about 82 % of the two-sided suite's
 # packets reach the matcher in batches of more than one.
 cargo test -q --release --offline --test two_sided
+cargo test -q --release --offline --test rma
 cargo test -q --release --offline -p fairmpi-matching batch_equivalence
 
 echo "== test (trace crate, enabled) =="

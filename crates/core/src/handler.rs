@@ -273,6 +273,21 @@ impl ProcState {
             }
         }
     }
+
+    /// Retire `n` completed one-sided operations carrying `token` (see
+    /// [`ProcState::rma_token`]). Returns `n` user-visible completions, or
+    /// 0 if the window was freed with the operations still in flight.
+    fn retire_rma(&self, token: u64, n: usize) -> usize {
+        let window = WindowId((token >> 32) as u32);
+        let target = (token & 0xffff_ffff) as Rank;
+        match self.windows.get(window) {
+            Ok(win) => {
+                win.pending_sub(self.rank, target, n as u64);
+                n
+            }
+            Err(_) => 0,
+        }
+    }
 }
 
 /// Whether a packet goes through the matcher (eager or rendezvous-RTS).
@@ -350,23 +365,34 @@ impl ProgressHandler for ProcState {
                 // Token 0 marks control packets with no request behind them.
                 usize::from(completion.token != 0 && self.requests.complete_send(completion.token))
             }
-            CompletionKind::RmaDone => {
-                let window = WindowId((completion.token >> 32) as u32);
-                let target = (completion.token & 0xffff_ffff) as Rank;
-                match self.windows.get(window) {
-                    Ok(win) => {
-                        win.pending_dec(self.rank, target);
-                        1
-                    }
-                    Err(_) => {
-                        // Window freed with ops in flight; nothing to do.
-                        0
-                    }
-                }
-            }
+            CompletionKind::RmaDone => self.retire_rma(completion.token, 1),
             // Present in the fabric vocabulary for alternative designs;
             // this runtime returns get/fetch results synchronously.
             CompletionKind::RmaGetDone(_) | CompletionKind::RmaFetchDone(_) => 0,
         }
+    }
+
+    /// Each run of consecutive one-sided completions with one token — the
+    /// same (window, target) — is retired with one window lookup and one
+    /// pending-count update. Every other completion is handled on its own.
+    fn on_completions(&self, completions: &mut Vec<Completion>) -> usize {
+        let mut count = 0;
+        let mut rest = completions.drain(..).peekable();
+        while let Some(completion) = rest.next() {
+            if completion.kind != CompletionKind::RmaDone {
+                count += self.on_completion(completion);
+                continue;
+            }
+            let token = completion.token;
+            let mut n = 1;
+            while rest
+                .next_if(|c| c.kind == CompletionKind::RmaDone && c.token == token)
+                .is_some()
+            {
+                n += 1;
+            }
+            count += self.retire_rma(token, n);
+        }
+        count
     }
 }

@@ -13,9 +13,8 @@
 //! the origin's completion queue; `flush` progresses the origin until its
 //! pending count toward the target drains.
 
-use fairmpi_sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use fairmpi_sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use fairmpi_sync::{Mutex, RwLock};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use fairmpi_fabric::Rank;
@@ -142,11 +141,12 @@ impl WindowState {
             .fetch_add(1, Ordering::AcqRel);
     }
 
-    pub(crate) fn pending_dec(&self, origin: Rank, target: Rank) {
+    /// Retire `n` completed operations of `origin` toward `target`.
+    pub(crate) fn pending_sub(&self, origin: Rank, target: Rank, n: u64) {
         let prev = self
             .pending_slot(origin, target)
-            .fetch_sub(1, Ordering::AcqRel);
-        debug_assert!(prev > 0, "RMA completion without a pending op");
+            .fetch_sub(n, Ordering::AcqRel);
+        debug_assert!(prev >= n, "RMA completion without a pending op");
     }
 
     pub(crate) fn pending_toward(&self, origin: Rank, target: Rank) -> u64 {
@@ -245,31 +245,40 @@ impl WindowState {
     }
 }
 
-/// Registry of all windows of a world, shared by every rank.
+/// Registry of all windows of a world, shared by every rank: a dense
+/// table indexed by window id. Ids are never reused, so a freed window
+/// leaves an empty slot behind.
 #[derive(Debug, Default)]
 pub(crate) struct WindowRegistry {
-    next: AtomicU32,
-    map: RwLock<HashMap<u32, Arc<WindowState>>>,
+    table: RwLock<Vec<Option<Arc<WindowState>>>>,
 }
 
 impl WindowRegistry {
     pub(crate) fn allocate(&self, len: usize, num_ranks: usize) -> WindowId {
-        let id = WindowId(self.next.fetch_add(1, Ordering::Relaxed));
-        let state = Arc::new(WindowState::new(id, len, num_ranks));
-        self.map.write().insert(id.0, state);
+        // The id is the slot index, so it is drawn under the write lock.
+        let mut table = self.table.write();
+        let id = WindowId(u32::try_from(table.len()).expect("fewer than 2^32 windows"));
+        table.push(Some(Arc::new(WindowState::new(id, len, num_ranks))));
         id
     }
 
     pub(crate) fn get(&self, id: WindowId) -> Result<Arc<WindowState>> {
-        self.map
+        self.table
             .read()
-            .get(&id.0)
-            .cloned()
+            .get(id.0 as usize)
+            .and_then(Option::clone)
             .ok_or(MpiError::InvalidWindow(id.0 as u64))
     }
 
-    pub(crate) fn free(&self, id: WindowId) {
-        self.map.write().remove(&id.0);
+    /// Empty the window's slot. Exactly one of several racing frees of the
+    /// same id succeeds.
+    pub(crate) fn free(&self, id: WindowId) -> Result<()> {
+        self.table
+            .write()
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .map(drop)
+            .ok_or(MpiError::InvalidWindow(id.0 as u64))
     }
 }
 
@@ -490,8 +499,20 @@ mod tests {
         assert_eq!(w.pending_toward(0, 2), 2);
         assert_eq!(w.pending_total(0), 3);
         assert_eq!(w.pending_total(1), 0);
-        w.pending_dec(0, 2);
+        w.pending_sub(0, 2, 1);
         assert_eq!(w.pending_total(0), 2);
+        w.pending_sub(0, 2, 1);
+        w.pending_sub(0, 1, 1);
+        assert_eq!(w.pending_total(0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "RMA completion without a pending op")]
+    #[cfg(debug_assertions)]
+    fn retiring_more_than_pending_is_detected() {
+        let w = WindowState::new(WindowId(0), 8, 2);
+        w.pending_inc(0, 1);
+        w.pending_sub(0, 1, 2);
     }
 
     #[test]
@@ -499,8 +520,41 @@ mod tests {
         let reg = WindowRegistry::default();
         let id = reg.allocate(128, 2);
         assert_eq!(reg.get(id).unwrap().len, 128);
-        reg.free(id);
-        assert!(reg.get(id).is_err());
+        reg.free(id).unwrap();
+        assert!(matches!(reg.get(id), Err(MpiError::InvalidWindow(0))));
+        assert!(matches!(reg.free(id), Err(MpiError::InvalidWindow(0))));
+        assert!(reg.free(WindowId(7)).is_err(), "never allocated");
+    }
+
+    #[test]
+    fn registry_ids_stay_dense_after_a_free() {
+        let reg = WindowRegistry::default();
+        let a = reg.allocate(8, 1);
+        let b = reg.allocate(16, 1);
+        reg.free(a).unwrap();
+        let c = reg.allocate(24, 1);
+        assert_eq!((a.0, b.0, c.0), (0, 1, 2), "id == slot index, never reused");
+        assert_eq!(reg.get(b).unwrap().len, 16);
+        assert_eq!(reg.get(c).unwrap().len, 24);
+    }
+
+    #[test]
+    fn racing_frees_of_one_window_succeed_once() {
+        let reg = Arc::new(WindowRegistry::default());
+        let id = reg.allocate(8, 1);
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let frees: Vec<_> = (0..4)
+            .map(|_| {
+                let (reg, start) = (Arc::clone(&reg), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    reg.free(id).is_ok()
+                })
+            })
+            .collect();
+        let joined = frees.into_iter().map(|h| h.join().unwrap());
+        let won = joined.filter(|&ok| ok).count();
+        assert_eq!(won, 1);
     }
 
     #[test]

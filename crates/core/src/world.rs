@@ -8,7 +8,7 @@ use fairmpi_spc::SpcSnapshot;
 
 use crate::comm::{CommState, Communicator};
 use crate::design::DesignConfig;
-use crate::error::{MpiError, Result};
+use crate::error::Result;
 use crate::proc::{Proc, ProcState};
 use crate::rma::{WindowId, WindowRegistry};
 
@@ -180,13 +180,9 @@ impl World {
     }
 
     /// Free a window (`MPI_Win_free`). Callers must have flushed.
+    /// Freeing an id that is already free is `InvalidWindow`.
     pub fn free_window(&self, id: WindowId) -> Result<()> {
-        // Validate it exists first for a useful error.
-        self.windows
-            .get(id)
-            .map_err(|_| MpiError::InvalidWindow(id.0 as u64))?;
-        self.windows.free(id);
-        Ok(())
+        self.windows.free(id)
     }
 
     /// Counters of every rank merged into one snapshot (sums, with maxes

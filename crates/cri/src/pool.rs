@@ -1,11 +1,10 @@
 //! The instance pool and the two assignment strategies of Algorithm 1.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use fairmpi_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use fairmpi_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use fairmpi_fabric::{Fabric, Rank};
 use fairmpi_spc::{Counter, SpcSet};
@@ -26,13 +25,20 @@ pub enum Assignment {
 
 /// Unique pool ids so thread-local dedicated assignments never leak between
 /// pools (each simulated rank owns its own pool, and tests build many).
+/// Ids are never reused, so a stale thread-local entry can only miss.
 static POOL_IDS: AtomicU64 = AtomicU64::new(0);
+
+/// A pool id no pool has: marks the one-entry cache empty.
+const NO_POOL: u64 = u64::MAX;
 
 thread_local! {
     /// This thread's dedicated instance per pool — the moral equivalent of
     /// the paper's `static thread_local my_id`, keyed because one OS thread
     /// may drive several simulated ranks in one process.
     static DEDICATED: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
+    /// The last `(pool id, instance)` binding this thread used, checked
+    /// before [`DEDICATED`]: a thread driving one rank never hashes.
+    static LAST_DEDICATED: Cell<(u64, usize)> = const { Cell::new((NO_POOL, 0)) };
 }
 
 /// All communication resources instances of one rank.
@@ -113,7 +119,12 @@ impl CriPool {
 
     /// Algorithm 1 `GET-INSTANCE-ID–DEDICATED`.
     pub fn dedicated_id(&self) -> usize {
-        DEDICATED.with(|map| {
+        let (pool_id, id) = LAST_DEDICATED.get();
+        if pool_id == self.pool_id && id < self.instances.len() {
+            self.spc.inc(Counter::CriDedicatedHits);
+            return id;
+        }
+        let id = DEDICATED.with(|map| {
             let mut map = map.borrow_mut();
             match map.get(&self.pool_id) {
                 Some(&id) if id < self.instances.len() => {
@@ -126,7 +137,9 @@ impl CriPool {
                     id
                 }
             }
-        })
+        });
+        LAST_DEDICATED.set((self.pool_id, id));
+        id
     }
 
     /// `GET-INSTANCE-ID` under the configured strategy.
@@ -159,9 +172,8 @@ impl CriPool {
         if assignment == Assignment::Dedicated {
             // Rebind the thread-local assignment so later calls go straight
             // to the survivor instead of re-tripping over the corpse.
-            DEDICATED.with(|map| {
-                map.borrow_mut().insert(self.pool_id, survivor);
-            });
+            DEDICATED.with(|map| map.borrow_mut().insert(self.pool_id, survivor));
+            LAST_DEDICATED.set((self.pool_id, survivor));
         }
         Some(survivor)
     }
@@ -174,9 +186,10 @@ impl CriPool {
     /// Drop this thread's dedicated binding for this pool, as when the user
     /// destroys a thread (paper §III-E's orphaned-instance scenario).
     pub fn forget_dedicated(&self) {
-        DEDICATED.with(|map| {
-            map.borrow_mut().remove(&self.pool_id);
-        });
+        DEDICATED.with(|map| map.borrow_mut().remove(&self.pool_id));
+        if LAST_DEDICATED.get().0 == self.pool_id {
+            LAST_DEDICATED.set((NO_POOL, 0));
+        }
     }
 
     /// Total pending (injected, uncompleted) operations across instances.

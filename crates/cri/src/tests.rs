@@ -84,6 +84,22 @@ fn dedicated_state_is_per_pool() {
 }
 
 #[test]
+fn pools_used_alternately_keep_distinct_bindings() {
+    let p1 = pool(4);
+    let p2 = pool(4);
+    p2.round_robin_id();
+    for _ in 0..10 {
+        assert_eq!(p1.dedicated_id(), 0);
+        assert_eq!(p2.dedicated_id(), 1);
+    }
+    for p in [&p1, &p2] {
+        assert_eq!(p.spc().get(Counter::CriDedicatedHits), 9);
+    }
+    assert_eq!(p1.spc().get(Counter::CriRoundRobinAssignments), 1);
+    assert_eq!(p2.spc().get(Counter::CriRoundRobinAssignments), 2);
+}
+
+#[test]
 fn forget_dedicated_reassigns() {
     let p = pool(3);
     let first = p.dedicated_id();
@@ -91,6 +107,39 @@ fn forget_dedicated_reassigns() {
     p.forget_dedicated();
     let second = p.dedicated_id();
     assert_eq!(second, 1, "round-robin advanced to the next instance");
+    assert_eq!(p.dedicated_id(), 1, "the new binding sticks");
+    assert_eq!(p.spc().get(Counter::CriDedicatedHits), 1);
+    assert_eq!(p.spc().get(Counter::CriRoundRobinAssignments), 2);
+}
+
+#[test]
+fn forgetting_one_pool_keeps_the_other_binding() {
+    let p1 = pool(2);
+    let p2 = pool(2);
+    assert_eq!(p2.dedicated_id(), 0);
+    assert_eq!(p1.dedicated_id(), 0);
+    p1.forget_dedicated();
+    assert_eq!(p2.dedicated_id(), 0);
+    assert_eq!(p2.spc().get(Counter::CriRoundRobinAssignments), 1);
+    assert_eq!(p1.dedicated_id(), 1, "p1 draws a fresh instance");
+    assert_eq!(p1.spc().get(Counter::CriDedicatedHits), 0);
+}
+
+#[test]
+fn failover_rebinds_the_dedicated_instance() {
+    let p = pool(3);
+    assert_eq!(p.dedicated_id(), 0);
+    p.instance(0).context().kill();
+    assert_eq!(p.alive_instance_id(Assignment::Dedicated), Some(1));
+    assert_eq!(
+        p.dedicated_id(),
+        1,
+        "later calls go straight to the survivor"
+    );
+    assert_eq!(p.alive_instance_id(Assignment::Dedicated), Some(1));
+    assert_eq!(p.spc().get(Counter::CriFailovers), 1);
+    assert_eq!(p.spc().get(Counter::CriRoundRobinAssignments), 1);
+    assert_eq!(p.spc().get(Counter::CriDedicatedHits), 3);
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Network contexts: the resource the paper replicates into CRIs.
 
 use fairmpi_spc::WatermarkCell;
+use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fairmpi_sync::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use crate::{Packet, Rank};
 
@@ -132,10 +132,10 @@ impl NetworkContext {
         self.pending_watermark.record(now);
     }
 
-    /// Record that an injected operation completed.
-    pub fn op_finished(&self) {
-        let prev = self.pending_ops.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "op_finished without matching op_started");
+    /// Record that `n` injected operations completed.
+    pub fn ops_finished(&self, n: u64) {
+        let prev = self.pending_ops.fetch_sub(n, Ordering::Relaxed);
+        debug_assert!(prev >= n, "ops_finished without matching op_started");
     }
 
     /// Operations injected on this context that have not completed yet.
@@ -297,11 +297,21 @@ mod tests {
         let ctx = NetworkContext::new(0, 0);
         ctx.op_started();
         ctx.op_started();
+        ctx.op_started();
+        assert_eq!(ctx.pending_ops(), 3);
+        ctx.ops_finished(1);
         assert_eq!(ctx.pending_ops(), 2);
-        ctx.op_finished();
-        assert_eq!(ctx.pending_ops(), 1);
-        ctx.op_finished();
+        ctx.ops_finished(2);
         assert_eq!(ctx.pending_ops(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ops_finished without matching op_started")]
+    #[cfg(debug_assertions)]
+    fn retiring_more_than_started_is_detected() {
+        let ctx = NetworkContext::new(0, 0);
+        ctx.op_started();
+        ctx.ops_finished(2);
     }
 
     #[test]
@@ -313,7 +323,7 @@ mod tests {
         assert_eq!(ctx.rx_watermark().low(), 1);
         ctx.op_started();
         ctx.op_started();
-        ctx.op_finished();
+        ctx.ops_finished(1);
         ctx.op_started();
         // Sampled at injections only: 1, 2, then back up to 2.
         assert_eq!(ctx.pending_watermark().high(), 2);

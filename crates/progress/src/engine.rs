@@ -36,6 +36,13 @@ pub trait ProgressHandler {
     }
     /// A local completion event was extracted from a completion queue.
     fn on_completion(&self, completion: Completion) -> usize;
+    /// One visit's completions, extracted from an instance in queue order.
+    /// Like [`on_packets`](Self::on_packets), the handler leaves
+    /// `completions` empty. The default hands them to
+    /// [`on_completion`](Self::on_completion) one at a time.
+    fn on_completions(&self, completions: &mut Vec<Completion>) -> usize {
+        completions.drain(..).map(|c| self.on_completion(c)).sum()
+    }
 }
 
 /// Items drained from an instance, pending handling.
@@ -163,7 +170,8 @@ impl ProgressEngine {
     /// Try-lock one instance, extract up to the drain budget (charging
     /// extraction overhead under the lock), release, then handle the items.
     /// Completions drain first, then packets; each queue's lock is taken
-    /// once per batch, and the packets go to the handler as one batch.
+    /// once per batch, the context's in-flight count drops once per visit,
+    /// and each kind goes to the handler as one batch.
     fn drain_one<H: ProgressHandler>(&self, cri: &Arc<Cri>, handler: &H) -> usize {
         if !cri.is_alive() {
             // Quarantined by the fault plan: its CQ reports nothing ever
@@ -183,9 +191,12 @@ impl ProgressEngine {
             let mut batch = BATCH.take();
             let mut drain = guard.begin_drain();
             let completions = drain.pop_completions(self.drain_budget, &mut batch.completions);
-            for _ in 0..completions {
-                busy_wait_ns(self.extraction_overhead_ns);
-                drain.context().op_finished();
+            // A packet-only visit leaves the in-flight count alone.
+            if completions > 0 {
+                for _ in 0..completions {
+                    busy_wait_ns(self.extraction_overhead_ns);
+                }
+                drain.context().ops_finished(completions as u64);
             }
             let packets = drain.pop_packets(self.drain_budget - completions, &mut batch.packets);
             for _ in 0..packets {
@@ -200,8 +211,9 @@ impl ProgressEngine {
         if drained > 0 {
             trace::counter("progress.drained", drained as u64);
             spc.add(Counter::CompletionsDrained, drained as u64);
-            for c in batch.completions.drain(..) {
-                count += handler.on_completion(c);
+            if !batch.completions.is_empty() {
+                count += handler.on_completions(&mut batch.completions);
+                debug_assert!(batch.completions.is_empty(), "handler left completions");
             }
             if !batch.packets.is_empty() {
                 count += handler.on_packets(&mut batch.packets);

@@ -207,6 +207,48 @@ fn each_visit_hands_its_packets_over_as_one_batch() {
 }
 
 #[test]
+fn each_visit_hands_its_completions_over_as_one_batch() {
+    /// Records the tokens of every completion batch.
+    #[derive(Default)]
+    struct Batches(Mutex<Vec<Vec<u64>>>);
+    impl ProgressHandler for Batches {
+        fn on_packet(&self, _: Packet) -> usize {
+            0
+        }
+        fn on_completion(&self, _: Completion) -> usize {
+            unreachable!("the engine hands completions over in batches")
+        }
+        fn on_completions(&self, completions: &mut Vec<Completion>) -> usize {
+            let tokens: Vec<u64> = completions.drain(..).map(|c| c.token).collect();
+            let n = tokens.len();
+            self.0.lock().push(tokens);
+            n
+        }
+    }
+    let (_fabric, pool, engine) = setup(1, ProgressMode::Serial);
+    let engine = engine.with_drain_budget(4);
+    let cri = pool.instance(0);
+    {
+        let guard = cri.lock(pool.spc());
+        for token in 0..6 {
+            guard.post_completion(Completion {
+                token,
+                kind: CompletionKind::RmaDone,
+            });
+        }
+    }
+    let handler = Batches::default();
+    assert_eq!(cri.pending_ops(), 6);
+    assert_eq!(engine.progress(Assignment::RoundRobin, &handler), 4);
+    assert_eq!(cri.pending_ops(), 2, "one visit retires exactly its batch");
+    assert_eq!(engine.progress(Assignment::RoundRobin, &handler), 2);
+    assert_eq!(cri.pending_ops(), 0);
+    assert_eq!(engine.progress(Assignment::RoundRobin, &handler), 0);
+    assert_eq!(*handler.0.lock(), vec![vec![0, 1, 2, 3], vec![4, 5]]);
+    assert_eq!(pool.spc().get(Counter::CompletionsDrained), 6);
+}
+
+#[test]
 fn completions_release_pending_ops() {
     let (_fabric, pool, engine) = setup(1, ProgressMode::Serial);
     let cri = pool.instance(0);

@@ -260,3 +260,118 @@ fn spc_counts_rma_traffic() {
     assert_eq!(spc[Counter::RmaAccumulates], 1);
     assert_eq!(spc[Counter::RmaFlushes], 1);
 }
+
+/// Run `body` on its own thread and fail, rather than hang, if it has not
+/// finished within `secs` seconds: a mis-retired pending count makes a
+/// flush spin forever in a build without debug assertions.
+fn within(secs: u64, body: impl FnOnce() + Send + 'static) {
+    let (done, finished) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(secs)) {
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("no progress within {secs} s: a flush never saw its pending count drain")
+        }
+        _ => handle.join().unwrap(),
+    }
+}
+
+/// Puts interleaved across two windows and two targets drain as runs of
+/// equal (window, target) tokens, some longer than one completion and some
+/// cut by the drain budget. Retiring a run against the wrong window or
+/// target leaves a count that never drains, or one that underflows.
+#[test]
+fn interleaved_puts_retire_per_window_and_target() {
+    const PUTS: usize = 600;
+    const SLOTS: usize = 16;
+    let designs = [
+        DesignConfig::default(),
+        DesignConfig::builder().proposed(2).build().unwrap(),
+    ];
+    for design in designs {
+        within(30, move || {
+            let world = World::builder().ranks(3).design(design).build();
+            let ids = [
+                world.allocate_window(SLOTS * 8),
+                world.allocate_window(SLOTS * 8),
+            ];
+            let origin = world.proc(0);
+            let wins: Vec<_> = ids.iter().map(|&id| origin.window(id).unwrap()).collect();
+            // Window and target switch at different strides, so runs of
+            // one token are 1 or 2 puts long.
+            let route = |i: usize| ((i / 3) % 2, 1 + ((i / 2) % 2) as u32);
+            let mut expected = vec![[[0u64; SLOTS]; 3]; 2];
+            for i in 0..PUTS {
+                let (w, target) = route(i);
+                let value = (i as u64) << 8 | (w as u64) << 4 | target as u64;
+                wins[w]
+                    .put(target, (i % SLOTS) * 8, &value.to_le_bytes())
+                    .unwrap();
+                expected[w][target as usize][i % SLOTS] = value;
+            }
+            wins[0].flush(1).unwrap();
+            wins[1].flush(2).unwrap();
+            wins[0].flush(2).unwrap();
+            for win in &wins {
+                win.flush_all();
+                for target in 0..3 {
+                    assert_eq!(win.pending_toward(target), 0, "target {target}");
+                }
+            }
+            let spc = origin.spc_snapshot();
+            assert_eq!(spc[Counter::RmaPuts], PUTS as u64);
+            assert_eq!(spc[Counter::CompletionsDrained], PUTS as u64);
+            for (w, &id) in ids.iter().enumerate() {
+                for target in 1..3u32 {
+                    let exposed = world.proc(target).window(id).unwrap();
+                    let landed = exposed.read_local(0, SLOTS * 8).unwrap();
+                    let want: Vec<u8> = expected[w][target as usize]
+                        .iter()
+                        .flat_map(|v| v.to_le_bytes())
+                        .collect();
+                    assert_eq!(landed, want, "window {w} on rank {target}");
+                }
+            }
+        });
+    }
+}
+
+/// Completions of puts to a window freed before they are drained are
+/// skipped: the flush of another window drains them along with its own.
+#[test]
+fn completions_for_a_freed_window_are_skipped() {
+    within(30, || {
+        let world = World::builder().ranks(2).build();
+        let doomed = world.allocate_window(64);
+        let live = world.allocate_window(64);
+        let origin = world.proc(0);
+        let w_doomed = origin.window(doomed).unwrap();
+        let w_live = origin.window(live).unwrap();
+        for i in 0..4 {
+            w_doomed.put(1, i * 8, &[7; 8]).unwrap();
+        }
+        w_live.put(1, 0, &[9; 8]).unwrap();
+        world.free_window(doomed).unwrap();
+        assert!(matches!(
+            world.free_window(doomed),
+            Err(MpiError::InvalidWindow(_))
+        ));
+        assert!(matches!(
+            origin.window(doomed),
+            Err(MpiError::InvalidWindow(_))
+        ));
+        w_live.flush(1).unwrap();
+        assert_eq!(w_live.pending_toward(1), 0);
+        assert_eq!(
+            w_doomed.pending_toward(1),
+            4,
+            "nothing retired into a freed window"
+        );
+        let spc = origin.spc_snapshot();
+        assert_eq!(spc[Counter::CompletionsDrained], 5);
+        let exposed = world.proc(1).window(live).unwrap();
+        assert_eq!(exposed.read_local(0, 8).unwrap(), vec![9; 8]);
+    });
+}

@@ -20,7 +20,9 @@
 //! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
 //!   suppression under racing deliveries,
 //! * the real request slab (`fairmpi::RequestTable`): completions, reaps
-//!   of cloned handles and stale tokens racing slot reuse,
+//!   of cloned handles and stale tokens racing slot reuse, a claimed
+//!   receive completion racing a cancel, and two threads cycling slots
+//!   through its tagged free stack, one of them in the ABA shape,
 //! * a real network context's rx ring: wire posts racing the owner's
 //!   batch drain.
 //!

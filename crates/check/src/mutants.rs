@@ -8,7 +8,7 @@
 //! evidence that the checker would catch the corresponding real
 //! regression. **Nothing in this module is used by the runtime.**
 //!
-//! The five seeded bugs:
+//! The six seeded bugs:
 //!
 //! 1. [`RingBug::PublishBeforeWrite`] — the MPSC ring publishes a slot's
 //!    sequence number before storing the value, so a concurrent consumer
@@ -27,6 +27,11 @@
 //!    finished request recycles its slot without advancing the slot's
 //!    generation, so the next occupant's token equals the old one and a
 //!    late completion of the old request lands on the new one.
+//! 6. [`MiniFreeList`] with `tagged = false` — the request slab's free
+//!    stack without the tag in its head word: a pop that read the head and
+//!    the slot below it, then lost the processor while another thread
+//!    popped both and pushed the first back, installs a slot that is still
+//!    live, and the next pop hands it out a second time (ABA).
 
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use fairmpi_sync::Mutex;
@@ -348,5 +353,81 @@ impl MiniSlab {
     pub fn is_pending(&self, token: u64) -> Option<bool> {
         let state = self.state.load(Ordering::SeqCst);
         (state >> 2 == token).then_some(state & 0b11 == SLAB_PENDING)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Request slab free stack (mirrors fairmpi::RequestTable's Treiber stack)
+// ---------------------------------------------------------------------------
+
+/// The request slab's free stack in miniature: a head word
+/// `tag << 32 | (index + 1)` (0 in the low half = empty) and one `next`
+/// link per slot, each pop and push a single compare-and-swap. With
+/// `tagged = false` the head's tag never advances, so a compare-and-swap
+/// against a head that was popped and pushed back in between succeeds:
+/// the seeded bug.
+pub struct MiniFreeList {
+    head: AtomicU64,
+    next: Vec<AtomicU64>,
+    tagged: bool,
+}
+
+impl MiniFreeList {
+    /// A stack holding slots `0..n`, slot 0 on top.
+    pub fn new(n: u32, tagged: bool) -> Self {
+        Self {
+            head: AtomicU64::new(u64::from(n > 0)),
+            next: (0..n)
+                .map(|i| AtomicU64::new(if i + 1 < n { u64::from(i) + 2 } else { 0 }))
+                .collect(),
+            tagged,
+        }
+    }
+
+    fn next_head(&self, head: u64, link: u64) -> u64 {
+        let tag = if self.tagged {
+            (head >> 32).wrapping_add(1)
+        } else {
+            head >> 32
+        };
+        tag << 32 | link
+    }
+
+    /// Take the top slot; `None` when the stack is empty.
+    pub fn pop(&self) -> Option<u32> {
+        let mut head = self.head.load(Ordering::SeqCst);
+        loop {
+            let top = head & 0xffff_ffff;
+            if top == 0 {
+                return None;
+            }
+            let below = self.next[top as usize - 1].load(Ordering::SeqCst);
+            match self.head.compare_exchange(
+                head,
+                self.next_head(head, below),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => return Some(top as u32 - 1),
+                Err(now) => head = now,
+            }
+        }
+    }
+
+    /// Give slot `index` back.
+    pub fn push(&self, index: u32) {
+        let mut head = self.head.load(Ordering::SeqCst);
+        loop {
+            self.next[index as usize].store(head & 0xffff_ffff, Ordering::SeqCst);
+            match self.head.compare_exchange(
+                head,
+                self.next_head(head, u64::from(index) + 1),
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => return,
+                Err(now) => head = now,
+            }
+        }
     }
 }

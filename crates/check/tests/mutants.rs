@@ -1,9 +1,11 @@
-//! The checker's own regression suite: five deliberately seeded
+//! The checker's own regression suite: six deliberately seeded
 //! concurrency bugs (see `fairmpi_check::mutants`), each of which the
 //! checker must catch with a reproducible counterexample. A checker that
 //! passes correct code proves nothing unless it also fails broken code.
 
-use fairmpi_check::mutants::{MiniPool, MiniSlab, ModelRing, Pop, RacyDedup, RingBug};
+use fairmpi_check::mutants::{
+    MiniFreeList, MiniPool, MiniSlab, ModelRing, Pop, RacyDedup, RingBug,
+};
 use fairmpi_check::{assert_reproducible_failure, spawn, yield_now, Checker, Counterexample};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -148,6 +150,46 @@ fn slab_reap_keeps_generation() {
     slab_scenario(true);
 }
 
+/// One thread pops a slot while another pops two and pushes the first
+/// back; the main thread then empties the stack. Every slot handed out
+/// must be distinct: with an untagged head the first pop can install the
+/// second thread's still-live slot as the new top (ABA).
+fn free_list_scenario(tagged: bool) {
+    let list = Arc::new(MiniFreeList::new(3, tagged));
+    let single = {
+        let list = Arc::clone(&list);
+        spawn(move || list.pop())
+    };
+    let double = {
+        let list = Arc::clone(&list);
+        spawn(move || {
+            let first = list.pop();
+            let second = list.pop();
+            if let Some(first) = first {
+                list.push(first);
+            }
+            second
+        })
+    };
+    let mut live: Vec<u32> = [single.join(), double.join()]
+        .into_iter()
+        .flatten()
+        .collect();
+    while let Some(index) = list.pop() {
+        assert!(
+            !live.contains(&index),
+            "slot {index} handed out twice: {live:?}"
+        );
+        live.push(index);
+    }
+    live.sort_unstable();
+    assert_eq!(live, vec![0, 1, 2], "every slot handed out exactly once");
+}
+
+fn free_list_untagged_head() {
+    free_list_scenario(false);
+}
+
 // --- catchers: explore, then replay the counterexample verbatim ---
 
 fn catch(what: &str, scenario: fn()) -> Counterexample {
@@ -186,22 +228,28 @@ fn mutant_slab_reap_keeps_generation_caught() {
     catch("slab reap-keeps-generation", slab_reap_keeps_generation);
 }
 
+#[test]
+fn mutant_free_list_untagged_head_caught() {
+    catch("free list untagged head", free_list_untagged_head);
+}
+
 /// The gate ci.sh greps for: every seeded mutant produced a reproducible
 /// counterexample.
 #[test]
 fn all_seeded_mutants_caught() {
-    let mutants: [(&str, fn()); 5] = [
+    let mutants: [(&str, fn()); 6] = [
         ("ring publish-before-write", ring_publish_before_write),
         ("ring ticket-without-CAS", ring_ticket_without_cas),
         ("progress lost-wakeup", progress_lost_wakeup),
         ("dedup check-then-insert", dedup_check_then_insert),
         ("slab reap-keeps-generation", slab_reap_keeps_generation),
+        ("free list untagged head", free_list_untagged_head),
     ];
     for (what, scenario) in mutants {
         let ce = catch(what, scenario);
         assert!(!ce.schedule.is_empty(), "counterexample has a schedule");
     }
-    println!("all 5 seeded mutants caught");
+    println!("all 6 seeded mutants caught");
 }
 
 /// The miniature ring with no seeded bug upholds the same properties the
@@ -253,4 +301,12 @@ fn miniature_slab_correct_protocol_passes() {
     Checker::new()
         .check(|| slab_scenario(false))
         .assert_pass("miniature slab, correct protocol");
+}
+
+/// The miniature free stack with a tagged head upholds the property its
+/// mutant violates, over the whole bounded schedule space.
+#[test]
+fn miniature_free_list_correct_protocol_passes() {
+    let outcome = Checker::new().check(|| free_list_scenario(true));
+    fairmpi_check::assert_exhaustive(&outcome, "miniature free list, tagged head");
 }

@@ -262,7 +262,7 @@ impl ProcState {
         let len = msg.data.len() as u64;
         match self.requests.complete_recv(token, msg) {
             Some(fits) => {
-                if fits {
+                if fits && len > 0 {
                     self.spc.add(Counter::BytesReceived, len);
                 }
                 1

@@ -18,7 +18,9 @@
 //!   because the matcher serves posted receives FIFO. Each recv descriptor
 //!   carries an order ticket drawn at enqueue; workers funnel them through
 //!   [`RecvSequencer`], a turn-gated stash, so posting happens in ticket
-//!   order regardless of which worker drains which batch.
+//!   order regardless of which worker drains which batch. `cancel_recv`
+//!   first waits for the turn to pass every ticket drawn so far, so the
+//!   matcher has the receive before the cancel looks for it there.
 //! * **Flushes** are deferred: the worker registers the request and the
 //!   engine's progress pass completes it once the window's pending count
 //!   toward the target drains to zero.
@@ -332,6 +334,25 @@ impl OffloadRuntime {
                     unreachable!("recv submission hands back a recv");
                 };
                 self.backend.post_ordered(order, posted);
+            }
+        }
+    }
+
+    /// Block until every receive submitted before this call has reached
+    /// its matcher, draining this thread's completion notifications while
+    /// the workers post. Tickets are gapless and posted in order, so the
+    /// turn passing the ticket count read here covers them all.
+    pub(crate) fn wait_recvs_posted(&self) {
+        let drawn = self.backend.recvs.next_order.load(Ordering::Relaxed);
+        let mut idle_spins = 0u32;
+        while self.backend.recvs.turn.load(Ordering::Acquire) < drawn {
+            if self.poll_completions() == 0 {
+                idle_spins += 1;
+                if idle_spins > 64 {
+                    std::thread::yield_now();
+                }
+            } else {
+                idle_spins = 0;
             }
         }
     }

@@ -297,6 +297,12 @@ impl Proc {
         if st.requests.is_cancelled(request.token) {
             return Ok(true);
         }
+        if let Some(rt) = st.offload.get() {
+            // A worker may not have posted the receive yet, and a receive
+            // the matcher has not seen cannot be found there. Shutdown
+            // drains the queues, so this also holds while it runs.
+            rt.wait_recvs_posted();
+        }
         let removed = st.with_matcher(comm.id, |m| m.cancel(request.token))?;
         if removed {
             st.requests.cancel(request.token);

@@ -284,8 +284,10 @@ impl Matcher {
         });
         work.traversed += inspected;
         trace::counter("match.search_len", inspected as u64);
-        self.spc
-            .add(Counter::MatchQueueTraversals, inspected as u64);
+        if inspected > 0 {
+            self.spc
+                .add(Counter::MatchQueueTraversals, inspected as u64);
+        }
         self.spc
             .record_hist(Histogram::MatchPostAttempts, inspected as u64);
         match hit {

@@ -118,12 +118,15 @@ impl HistogramCell {
     pub fn record(&self, value: u64) {
         self.buckets[bucket_for(value)].fetch_add(1, Ordering::Relaxed);
         // Saturating: a histogram that has absorbed 2^64 ns of samples must
-        // pin at the ceiling, not wrap to a tiny sum.
-        self.sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(value))
-            })
-            .ok();
+        // pin at the ceiling, not wrap to a tiny sum. A zero sample leaves
+        // the sum as it is.
+        if value != 0 {
+            self.sum
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                    Some(s.saturating_add(value))
+                })
+                .ok();
+        }
     }
 
     /// Fold a whole [`HistogramTally`] in: one `fetch_add` per bucket the

@@ -80,7 +80,10 @@ impl SpcSet {
     /// Raise a high-water-mark counter to at least `value`.
     #[inline]
     pub fn record_max(&self, counter: Counter, value: u64) {
-        self.slots[counter.index()].fetch_max(value, Ordering::Relaxed);
+        let slot = &self.slots[counter.index()];
+        if value > slot.load(Ordering::Relaxed) {
+            slot.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Current value of one counter.

@@ -4,7 +4,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use fairmpi::{Counter, DesignConfig, FaultPlan, World};
+use fairmpi::{Counter, DesignConfig, FaultPlan, MpiError, World};
 
 /// Builds that touch the `FAIRMPI_OFFLOAD_*` process environment serialize
 /// here so a concurrently running test never builds its world under a
@@ -197,4 +197,28 @@ fn world_drop_terminates_when_a_context_dies_mid_drain() {
     }
     let p0 = t.join().unwrap();
     assert_eq!(p0.in_flight_frames(), 0, "unacked frames survived recovery");
+}
+
+/// Cancelling a receive right after `irecv` must find it even when no
+/// worker has posted it yet: the cancel reports the receive as still
+/// posted, the wait reports it cancelled, and the next matching message
+/// goes to a fresh receive instead of the cancelled one.
+#[test]
+fn cancel_right_after_irecv_finds_the_receive_before_a_worker_posts_it() {
+    let _env = ENV_LOCK.lock().unwrap();
+    let world = World::builder()
+        .ranks(2)
+        .design(DesignConfig::builder().offload(1).build().unwrap())
+        .build();
+    let comm = world.comm_world();
+    let p0 = world.proc(0);
+    let p1 = world.proc(1);
+    for i in 0u32..50 {
+        let req = p1.irecv(8, 0, 5, comm).unwrap();
+        assert_eq!(p1.cancel_recv(&req, comm), Ok(true), "round {i}");
+        assert_eq!(p1.wait(&req), Err(MpiError::Cancelled), "round {i}");
+        p0.send(&i.to_le_bytes(), 1, 5, comm).unwrap();
+        let msg = p1.recv(8, 0, 5, comm).unwrap();
+        assert_eq!(msg.data, i.to_le_bytes(), "round {i}");
+    }
 }

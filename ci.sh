@@ -25,17 +25,19 @@ cargo build --offline -p fairmpi-bench --no-default-features
 echo "== test =="
 cargo test -q --workspace --offline
 
-echo "== test (release build: batched matching, retirement, request slots) =="
+echo "== test (release build: batched matching, retirement, request slots, rx ring) =="
 # The batched drain-to-match path, the per-run retirement of one-sided
-# completions and the request table's tag and shift arithmetic, built as
-# the benchmark runs them: with optimisations and without overflow checks
-# or debug assertions. Batch sizes do not depend on the build: in debug and
-# release alike about 82 % of the two-sided suite's packets reach the
-# matcher in batches of more than one.
+# completions, the request table's tag and shift arithmetic and the rx
+# ring's spill hand-off, built as the benchmark runs them: with
+# optimisations and without overflow checks or debug assertions. Batch
+# sizes do not depend on the build: in debug and release alike about 82 %
+# of the two-sided suite's packets reach the matcher in batches of more
+# than one.
 cargo test -q --release --offline --test two_sided
 cargo test -q --release --offline --test rma
 cargo test -q --release --offline -p fairmpi-matching batch_equivalence
 cargo test -q --release --offline -p fairmpi --lib request
+cargo test -q --release --offline -p fairmpi-fabric
 
 echo "== test (trace crate, enabled) =="
 cargo test -q --offline -p fairmpi-trace --features enabled
@@ -50,14 +52,14 @@ cargo test -q --offline --test sync_backends --features trace
 echo "== model check (bounded-preemption interleaving exploration) =="
 # Exhaustive DFS over the lock-free core's protocols (offload ring,
 # Algorithm 2 fallback sweep, dedup window, request slab and its free
-# stack, rx ring) ...
+# stack, rx ring and its spill hand-off to the overflow list) ...
 cargo test -q --offline -p fairmpi-check 2>&1 | tee /tmp/fairmpi_check.log
 ! grep -q "FAILED" /tmp/fairmpi_check.log
-# ... and the checker must have teeth: all six seeded mutant bugs caught
+# ... and the checker must have teeth: all seven seeded mutant bugs caught
 # with reproducible counterexample schedules.
 cargo test --offline -p fairmpi-check --test mutants all_seeded_mutants_caught -- --nocapture \
     > /tmp/fairmpi_mutants.log 2>&1
-grep -q "all 6 seeded mutants caught" /tmp/fairmpi_mutants.log
+grep -q "all 7 seeded mutants caught" /tmp/fairmpi_mutants.log
 
 echo "== fmt =="
 cargo fmt --all --check

@@ -13,8 +13,9 @@
 //!
 //! What is covered (see the `tests/` directory):
 //!
-//! * the real [`fairmpi_offload::TicketRing`] MPSC command ring under
-//!   racing producers and a concurrent consumer,
+//! * the real [`fairmpi_sync::TicketRing`] — the offload command ring and
+//!   every network context's receive ring — under racing producers and a
+//!   concurrent consumer,
 //! * a miniature of the paper's Algorithm 2 progress loop
 //!   (dedicated-instance drain with round-robin fallback sweep),
 //! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
@@ -24,7 +25,8 @@
 //!   receive completion racing a cancel, and two threads cycling slots
 //!   through its tagged free stack, one of them in the ABA shape,
 //! * a real network context's rx ring: wire posts racing the owner's
-//!   batch drain.
+//!   batch drain, and on a 2-slot ring the hand-off of spilled packets,
+//!   which must keep every producer's packets in order.
 //!
 //! The [`mutants`] module carries deliberately-broken variants of each
 //! algorithm; the test suite asserts the checker produces a reproducible

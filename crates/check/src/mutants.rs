@@ -8,7 +8,7 @@
 //! evidence that the checker would catch the corresponding real
 //! regression. **Nothing in this module is used by the runtime.**
 //!
-//! The six seeded bugs:
+//! The seven seeded bugs:
 //!
 //! 1. [`RingBug::PublishBeforeWrite`] — the MPSC ring publishes a slot's
 //!    sequence number before storing the value, so a concurrent consumer
@@ -32,13 +32,19 @@
 //!    the slot below it, then lost the processor while another thread
 //!    popped both and pushed the first back, installs a slot that is still
 //!    live, and the next pop hands it out a second time (ABA).
+//! 7. [`MiniSpillQueue`] with `recheck = false` — a network context's
+//!    receive queue (the real [`TicketRing`] plus a locked overflow list)
+//!    whose drain takes the overflow list as soon as a ring pop comes up
+//!    short. An empty pop can also mean another producer claimed a ticket
+//!    and has not published it; a packet queued behind that ticket then
+//!    loses to a later packet its own producer spilled.
 
-use fairmpi_sync::atomic::{AtomicU64, Ordering};
-use fairmpi_sync::Mutex;
-use std::collections::BTreeSet;
+use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use fairmpi_sync::{Mutex, TicketRing};
+use std::collections::{BTreeSet, VecDeque};
 
 // ---------------------------------------------------------------------------
-// Miniature MPSC ticket ring (mirrors fairmpi_offload::TicketRing)
+// Miniature MPSC ticket ring (mirrors fairmpi_sync::TicketRing)
 // ---------------------------------------------------------------------------
 
 /// Which bug, if any, to seed into [`ModelRing`].
@@ -429,5 +435,68 @@ impl MiniFreeList {
                 Err(now) => head = now,
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Receive ring with overflow list (mirrors fairmpi_fabric::NetworkContext)
+// ---------------------------------------------------------------------------
+
+/// A network context's receive queue in miniature: the real [`TicketRing`]
+/// plus a locked overflow list that producers append to once the ring is
+/// full or earlier values are already spilled, drained by a single
+/// consumer. With `recheck = false` the drain hands the list over as soon
+/// as a ring pop comes up short instead of only once the ring is empty by
+/// `tail == head`: the seeded bug.
+pub struct MiniSpillQueue {
+    ring: TicketRing<u64>,
+    overflow: Mutex<VecDeque<u64>>,
+    spilled: AtomicBool,
+    recheck: bool,
+}
+
+impl MiniSpillQueue {
+    /// A queue whose ring has `slots` slots.
+    pub fn new(slots: usize, recheck: bool) -> Self {
+        Self {
+            ring: TicketRing::with_capacity(slots),
+            overflow: Mutex::new(VecDeque::new()),
+            spilled: AtomicBool::new(false),
+            recheck,
+        }
+    }
+
+    /// Deliver `value` from any producer thread.
+    pub fn push(&self, value: u64) {
+        let value = if self.spilled.load(Ordering::SeqCst) {
+            value
+        } else {
+            match self.ring.try_push(value) {
+                Ok(()) => return,
+                Err(full) => full.0,
+            }
+        };
+        let mut overflow = self.overflow.lock();
+        self.spilled.store(true, Ordering::SeqCst);
+        overflow.push_back(value);
+    }
+
+    /// Move up to `max` values onto `out` (single consumer); returns how
+    /// many moved.
+    pub fn drain(&self, max: usize, out: &mut Vec<u64>) -> usize {
+        let n = self.ring.pop_batch(out, max);
+        if n == max || !self.spilled.load(Ordering::SeqCst) {
+            return n;
+        }
+        let mut overflow = self.overflow.lock();
+        if self.recheck && !self.ring.is_empty() {
+            return n;
+        }
+        let take = (max - n).min(overflow.len());
+        out.extend(overflow.drain(..take));
+        if overflow.is_empty() {
+            self.spilled.store(false, Ordering::SeqCst);
+        }
+        n + take
     }
 }

@@ -1,10 +1,10 @@
-//! The checker's own regression suite: six deliberately seeded
+//! The checker's own regression suite: seven deliberately seeded
 //! concurrency bugs (see `fairmpi_check::mutants`), each of which the
 //! checker must catch with a reproducible counterexample. A checker that
 //! passes correct code proves nothing unless it also fails broken code.
 
 use fairmpi_check::mutants::{
-    MiniFreeList, MiniPool, MiniSlab, ModelRing, Pop, RacyDedup, RingBug,
+    MiniFreeList, MiniPool, MiniSlab, MiniSpillQueue, ModelRing, Pop, RacyDedup, RingBug,
 };
 use fairmpi_check::{assert_reproducible_failure, spawn, yield_now, Checker, Counterexample};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
@@ -190,6 +190,48 @@ fn free_list_untagged_head() {
     free_list_scenario(false);
 }
 
+/// Producer 0 pushes three values and producer 1 one into a 2-slot ring
+/// while the consumer drains with budgets of 1 and 2. Every value must
+/// arrive once and each producer's values in order: without the
+/// `tail == head` re-check the drain hands out producer 0's spilled value
+/// while its older one waits in the ring behind producer 1's claimed but
+/// unpublished ticket.
+fn spill_queue_scenario(recheck: bool) {
+    let queue = Arc::new(MiniSpillQueue::new(2, recheck));
+    let producers: Vec<_> = [(0u64, 3u64), (1, 1)]
+        .into_iter()
+        .map(|(src, count)| {
+            let queue = Arc::clone(&queue);
+            spawn(move || {
+                for seq in 0..count {
+                    queue.push(src << 32 | seq);
+                }
+            })
+        })
+        .collect();
+    let mut got = Vec::new();
+    for budget in [1, 2, 1] {
+        queue.drain(budget, &mut got);
+        yield_now();
+    }
+    for p in producers {
+        p.join();
+    }
+    while queue.drain(2, &mut got) > 0 {}
+    let order = |src: u64| -> Vec<u64> {
+        got.iter()
+            .filter(|&&v| v >> 32 == src)
+            .map(|&v| v & 0xffff_ffff)
+            .collect()
+    };
+    assert_eq!(order(0), vec![0, 1, 2], "producer 0: in order, each once");
+    assert_eq!(order(1), vec![0], "producer 1: delivered once");
+}
+
+fn spill_queue_without_recheck() {
+    spill_queue_scenario(false);
+}
+
 // --- catchers: explore, then replay the counterexample verbatim ---
 
 fn catch(what: &str, scenario: fn()) -> Counterexample {
@@ -233,23 +275,35 @@ fn mutant_free_list_untagged_head_caught() {
     catch("free list untagged head", free_list_untagged_head);
 }
 
+#[test]
+fn mutant_spill_queue_without_recheck_caught() {
+    catch(
+        "spill hand-off without re-check",
+        spill_queue_without_recheck,
+    );
+}
+
 /// The gate ci.sh greps for: every seeded mutant produced a reproducible
 /// counterexample.
 #[test]
 fn all_seeded_mutants_caught() {
-    let mutants: [(&str, fn()); 6] = [
+    let mutants: [(&str, fn()); 7] = [
         ("ring publish-before-write", ring_publish_before_write),
         ("ring ticket-without-CAS", ring_ticket_without_cas),
         ("progress lost-wakeup", progress_lost_wakeup),
         ("dedup check-then-insert", dedup_check_then_insert),
         ("slab reap-keeps-generation", slab_reap_keeps_generation),
         ("free list untagged head", free_list_untagged_head),
+        (
+            "spill hand-off without re-check",
+            spill_queue_without_recheck,
+        ),
     ];
     for (what, scenario) in mutants {
         let ce = catch(what, scenario);
         assert!(!ce.schedule.is_empty(), "counterexample has a schedule");
     }
-    println!("all 6 seeded mutants caught");
+    println!("all 7 seeded mutants caught");
 }
 
 /// The miniature ring with no seeded bug upholds the same properties the
@@ -309,4 +363,12 @@ fn miniature_slab_correct_protocol_passes() {
 fn miniature_free_list_correct_protocol_passes() {
     let outcome = Checker::new().check(|| free_list_scenario(true));
     fairmpi_check::assert_exhaustive(&outcome, "miniature free list, tagged head");
+}
+
+/// The miniature spill queue with the `tail == head` re-check keeps every
+/// producer in order over the whole bounded schedule space.
+#[test]
+fn miniature_spill_queue_correct_protocol_passes() {
+    let outcome = Checker::new().check(|| spill_queue_scenario(true));
+    fairmpi_check::assert_exhaustive(&outcome, "miniature spill queue, with re-check");
 }

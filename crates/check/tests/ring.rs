@@ -1,8 +1,9 @@
-//! Exhaustive interleaving checks of the real offload command ring
-//! (`fairmpi_offload::TicketRing`) under the model backend.
+//! Exhaustive interleaving checks of the real ticket ring
+//! (`fairmpi_sync::TicketRing`, the offload command ring and every network
+//! context's receive ring) under the model backend.
 
 use fairmpi_check::{spawn, yield_now, Checker};
-use fairmpi_offload::TicketRing;
+use fairmpi_sync::TicketRing;
 use std::sync::Arc;
 
 /// Two producers race their ticket claims while the consumer pops

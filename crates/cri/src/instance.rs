@@ -119,11 +119,8 @@ impl<'a> CriGuard<'a> {
             cfg.injection_overhead_ns
                 .max(cfg.serialization_time_ns(packet.payload.len())),
         );
-        self.cri.context.op_started();
-        spc.record_level(
-            Watermark::InstancePendingOps,
-            self.cri.context.pending_ops(),
-        );
+        let in_flight = self.cri.context.op_started();
+        spc.record_level(Watermark::InstancePendingOps, in_flight);
         fabric.deliver(packet, self.cri.index);
         spc.inc(Counter::MessagesSent);
         spc.add(Counter::BytesSent, wire_len as u64);

@@ -103,7 +103,9 @@ fn watermark_desc(w: Watermark) -> &'static str {
         Watermark::UnexpectedQueueDepth => "unexpected-message queue depth",
         Watermark::OutOfSequenceBuffered => "out-of-sequence messages parked",
         Watermark::InstancePendingOps => "in-flight operations per instance at injection",
-        Watermark::InstanceRxDepth => "receive-ring depth at wire delivery",
+        Watermark::InstanceRxDepth => {
+            "packets one progress visit drained from an instance's receive ring"
+        }
         Watermark::OffloadQueueDepth => "offload command-queue depth at enqueue",
     }
 }

@@ -3,7 +3,7 @@
 use fairmpi_fabric::{Packet, Rank};
 use fairmpi_matching::PostedRecv;
 
-use crate::queue::TicketRing;
+use fairmpi_sync::TicketRing;
 
 /// One communication descriptor enqueued by an application thread and
 /// executed by an offload worker against the real CRI/matching/fabric

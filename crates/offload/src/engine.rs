@@ -5,13 +5,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fairmpi_sync::atomic::{AtomicBool, Ordering};
-use fairmpi_sync::Mutex;
+use fairmpi_sync::{Mutex, QueueFull, TicketRing};
 use std::time::Duration;
 
 use fairmpi_spc::{Counter, SpcSet, Watermark};
 
 use crate::command::{Command, CompletionQueue};
-use crate::queue::{Backpressure, QueueFull, TicketRing};
+use crate::queue::Backpressure;
 
 /// How the offload crate reaches the real CRI/matching/fabric machinery.
 ///
@@ -158,7 +158,7 @@ impl OffloadEngine {
             cmd,
             reply: reply.map(Arc::clone),
         };
-        match self.queue.push(sealed, self.config.backpressure) {
+        match self.config.backpressure.push(&self.queue, sealed) {
             Ok(stalled) => {
                 if stalled {
                     self.spc.inc(Counter::OffloadBackpressureStalls);

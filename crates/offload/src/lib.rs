@@ -8,9 +8,9 @@
 //! the NIC or the matching locks at all. This crate is that fourth design
 //! axis:
 //!
-//! * [`TicketRing`] — a bounded lock-free MPSC **command queue**
-//!   (cache-padded slots, seqlock-style ticket ring on `core::sync::atomic`
-//!   only) with a configurable [`Backpressure`] policy (spin, yield,
+//! * a bounded lock-free MPSC **command queue** — the workspace's
+//!   [`fairmpi_sync::TicketRing`] (cache-padded slots, seqlock-style
+//!   tickets) — with a configurable [`Backpressure`] policy (spin, yield,
 //!   fail-fast `TryAgain`);
 //! * [`Command`] — send/recv/put/flush descriptors carrying everything a
 //!   worker needs, plus the per-thread [`CompletionQueue`] that
@@ -35,4 +35,4 @@ mod queue;
 
 pub use command::{Command, CompletionQueue};
 pub use engine::{OffloadBackend, OffloadConfig, OffloadEngine, SubmitError};
-pub use queue::{Backpressure, QueueFull, TicketRing};
+pub use queue::Backpressure;

@@ -1,18 +1,7 @@
-//! The bounded lock-free ticket ring behind the command and completion
-//! queues.
-//!
-//! This is a Vyukov-style bounded MPMC ring: every slot carries a seqlock
-//! sequence word gating access, producers and consumers claim tickets with
-//! a single CAS on the tail/head counter, and all coordination is plain
-//! `core::sync::atomic` — no mutexes, no external queue crates. Slots and
-//! the two counters are cache-line padded so producers hammering the tail
-//! never invalidate the consumer's head line (the same discipline as the
-//! SPC slots).
+//! The command queue's backpressure policy over the workspace's lock-free
+//! [`TicketRing`].
 
-use std::cell::UnsafeCell;
-
-use fairmpi_sync::atomic::{AtomicU64, Ordering};
-use fairmpi_sync::CachePadded;
+use fairmpi_sync::{QueueFull, TicketRing};
 
 /// What a producer does when the command queue is full (the ring cannot
 /// grow: boundedness is what gives the offload design its backpressure).
@@ -28,201 +17,30 @@ pub enum Backpressure {
     TryAgain,
 }
 
-/// A rejected push, carrying the value back to the producer.
-#[derive(Debug, PartialEq, Eq)]
-pub struct QueueFull<T>(pub T);
-
-/// One ring slot: the sequence word is `ticket` while writable by the
-/// producer holding that ticket, `ticket + 1` while readable by the
-/// consumer holding it, then `ticket + capacity` for the next lap.
-#[derive(Debug)]
-struct Slot<T> {
-    seq: AtomicU64,
-    value: UnsafeCell<Option<T>>,
-}
-
-/// A bounded lock-free MPMC FIFO ring (used MPSC for commands, MPSC for
-/// completion notifications).
-#[derive(Debug)]
-pub struct TicketRing<T> {
-    slots: Box<[CachePadded<Slot<T>>]>,
-    mask: u64,
-    /// Next producer ticket.
-    tail: CachePadded<AtomicU64>,
-    /// Next consumer ticket.
-    head: CachePadded<AtomicU64>,
-}
-
-// SAFETY: the ticket protocol hands each slot to exactly one thread at a
-// time (see `try_push`/`try_pop`), so the ring is a channel: it only needs
-// `T: Send`, never `T: Sync`.
-unsafe impl<T: Send> Send for TicketRing<T> {}
-unsafe impl<T: Send> Sync for TicketRing<T> {}
-
-impl<T> TicketRing<T> {
-    /// A ring holding at least `capacity` items (rounded up to a power of
-    /// two, minimum 2, so slot selection is a mask).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
-        let slots = (0..cap as u64)
-            .map(|i| {
-                CachePadded::new(Slot {
-                    seq: AtomicU64::new(i),
-                    value: UnsafeCell::new(None),
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            slots,
-            mask: cap as u64 - 1,
-            tail: CachePadded::new(AtomicU64::new(0)),
-            head: CachePadded::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// Number of slots.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Approximate occupancy (exact when quiescent; racing operations can
-    /// skew it by the number of in-flight claims).
-    pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Relaxed);
-        tail.saturating_sub(head) as usize
-    }
-
-    /// Whether the ring currently holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lock-free push attempt; `Err` hands the value back when full.
-    pub fn try_push(&self, value: T) -> Result<(), QueueFull<T>> {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(tail & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == tail {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS claimed ticket `tail`, making this
-                        // thread the slot's unique owner until the sequence
-                        // store below publishes it to the consumer side.
-                        unsafe { *slot.value.get() = Some(value) };
-                        slot.seq.store(tail + 1, Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(current) => tail = current,
-                }
-            } else if seq < tail {
-                // The slot still holds an unconsumed value from one lap
-                // ago. Re-read the tail: if it moved we lost a race, not
-                // capacity.
-                let current = self.tail.load(Ordering::Relaxed);
-                if current == tail {
-                    return Err(QueueFull(value));
-                }
-                tail = current;
-            } else {
-                // Another producer claimed this ticket; chase the tail.
-                tail = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Push honoring a backpressure policy. `Ok(stalled)` tells the caller
-    /// whether the queue was ever observed full (for the
+impl Backpressure {
+    /// Push `value` onto `ring` honoring this policy. `Ok(stalled)` tells
+    /// the caller whether the queue was ever observed full (for the
     /// `offload_backpressure_stalls` probe); `Err` only under
     /// [`Backpressure::TryAgain`].
-    pub fn push(&self, value: T, policy: Backpressure) -> Result<bool, QueueFull<T>> {
-        let mut value = match self.try_push(value) {
+    pub fn push<T>(self, ring: &TicketRing<T>, value: T) -> Result<bool, QueueFull<T>> {
+        let mut value = match ring.try_push(value) {
             Ok(()) => return Ok(false),
             Err(QueueFull(v)) => v,
         };
-        if policy == Backpressure::TryAgain {
+        if self == Backpressure::TryAgain {
             return Err(QueueFull(value));
         }
         loop {
-            match policy {
+            match self {
                 Backpressure::Spin => std::hint::spin_loop(),
                 Backpressure::Yield => std::thread::yield_now(),
                 Backpressure::TryAgain => unreachable!("returned above"),
             }
-            match self.try_push(value) {
+            match ring.try_push(value) {
                 Ok(()) => return Ok(true),
                 Err(QueueFull(v)) => value = v,
             }
         }
-    }
-
-    /// Lock-free pop attempt.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(head & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == head + 1 {
-                match self.head.compare_exchange_weak(
-                    head,
-                    head + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // SAFETY: the CAS claimed ticket `head`; the
-                        // producer published this slot with `seq == head+1`
-                        // and will not touch it again until the store below
-                        // recycles it for the next lap.
-                        let value = unsafe { (*slot.value.get()).take() };
-                        slot.seq
-                            .store(head + self.capacity() as u64, Ordering::Release);
-                        debug_assert!(value.is_some(), "published slot holds a value");
-                        return value;
-                    }
-                    Err(current) => head = current,
-                }
-            } else if seq < head + 1 {
-                // Slot not yet published: empty unless the head moved.
-                let current = self.head.load(Ordering::Relaxed);
-                if current == head {
-                    return None;
-                }
-                head = current;
-            } else {
-                // Another consumer claimed this ticket; chase the head.
-                head = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Pop up to `max` items into `out`; returns how many were taken.
-    pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_pop() {
-                Some(v) => {
-                    out.push(v);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-}
-
-impl<T> Drop for TicketRing<T> {
-    fn drop(&mut self) {
-        // Drain so queued values run their destructors.
-        while self.try_pop().is_some() {}
     }
 }
 
@@ -232,38 +50,11 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn fifo_order_single_thread() {
-        let q = TicketRing::with_capacity(8);
-        for i in 0..5u64 {
-            q.try_push(i).unwrap();
-        }
-        assert_eq!(q.len(), 5);
-        for i in 0..5u64 {
-            assert_eq!(q.try_pop(), Some(i));
-        }
-        assert_eq!(q.try_pop(), None);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn full_ring_rejects_and_returns_value() {
-        let q = TicketRing::with_capacity(4);
-        for i in 0..4u64 {
-            q.try_push(i).unwrap();
-        }
-        assert_eq!(q.try_push(99), Err(QueueFull(99)));
-        assert_eq!(q.push(99, Backpressure::TryAgain), Err(QueueFull(99)));
-        assert_eq!(q.try_pop(), Some(0));
-        // A freed slot is immediately reusable (wrap-around lap).
-        q.try_push(4).unwrap();
-        assert_eq!(q.len(), 4);
-    }
-
-    #[test]
-    fn capacity_rounds_up_to_power_of_two() {
-        assert_eq!(TicketRing::<u8>::with_capacity(1).capacity(), 2);
-        assert_eq!(TicketRing::<u8>::with_capacity(5).capacity(), 8);
-        assert_eq!(TicketRing::<u8>::with_capacity(64).capacity(), 64);
+    fn try_again_hands_the_value_back_when_full() {
+        let q = TicketRing::with_capacity(2);
+        assert_eq!(Backpressure::TryAgain.push(&q, 0u64), Ok(false));
+        q.try_push(1).unwrap();
+        assert_eq!(Backpressure::TryAgain.push(&q, 99), Err(QueueFull(99)));
     }
 
     #[test]
@@ -274,7 +65,7 @@ mod tests {
         }
         let producer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(7, Backpressure::Yield).unwrap())
+            std::thread::spawn(move || Backpressure::Yield.push(&q, 7).unwrap())
         };
         // Free one slot; the stalled producer must complete and report it.
         std::thread::sleep(std::time::Duration::from_millis(5));
@@ -282,63 +73,5 @@ mod tests {
         assert!(producer.join().unwrap(), "push observed the full queue");
         assert_eq!(q.try_pop(), Some(1));
         assert_eq!(q.try_pop(), Some(7));
-    }
-
-    #[test]
-    fn mpsc_stress_delivers_every_value_once() {
-        const PRODUCERS: u64 = 4;
-        const PER_PRODUCER: u64 = 5_000;
-        let q = Arc::new(TicketRing::with_capacity(64));
-        let producers: Vec<_> = (0..PRODUCERS)
-            .map(|p| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    for i in 0..PER_PRODUCER {
-                        q.push(p * PER_PRODUCER + i, Backpressure::Yield).unwrap();
-                    }
-                })
-            })
-            .collect();
-        let consumer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut seen = vec![false; (PRODUCERS * PER_PRODUCER) as usize];
-                let mut last_per_producer = vec![None::<u64>; PRODUCERS as usize];
-                let mut got = 0;
-                while got < PRODUCERS * PER_PRODUCER {
-                    if let Some(v) = q.try_pop() {
-                        assert!(!seen[v as usize], "duplicate {v}");
-                        seen[v as usize] = true;
-                        // Per-producer order is preserved (the MPSC
-                        // guarantee the MPI non-overtaking rule rides on).
-                        let p = (v / PER_PRODUCER) as usize;
-                        let i = v % PER_PRODUCER;
-                        assert!(last_per_producer[p].map(|prev| prev < i).unwrap_or(true));
-                        last_per_producer[p] = Some(i);
-                        got += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        for p in producers {
-            p.join().unwrap();
-        }
-        consumer.join().unwrap();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drop_runs_queued_destructors() {
-        let token = Arc::new(());
-        {
-            let q = TicketRing::with_capacity(8);
-            for _ in 0..5 {
-                q.try_push(Arc::clone(&token)).unwrap();
-            }
-            assert_eq!(Arc::strong_count(&token), 6);
-        }
-        assert_eq!(Arc::strong_count(&token), 1, "ring drop released values");
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use fairmpi_cri::{Assignment, Cri, CriPool};
 use fairmpi_fabric::{busy_wait_ns, Completion, Packet};
-use fairmpi_spc::{Counter, Histogram};
+use fairmpi_spc::{Counter, Histogram, Watermark};
 use fairmpi_trace as trace;
 
 /// Which progress design is active (the Fig. 3a vs Fig. 3b axis).
@@ -216,6 +216,10 @@ impl ProgressEngine {
                 debug_assert!(batch.completions.is_empty(), "handler left completions");
             }
             if !batch.packets.is_empty() {
+                // The rx depth this visit found, read off the drain itself
+                // so the wire's delivery path never touches the consumer
+                // side of the ring.
+                spc.record_level(Watermark::InstanceRxDepth, batch.packets.len() as u64);
                 count += handler.on_packets(&mut batch.packets);
                 debug_assert!(batch.packets.is_empty(), "handler left packets");
             }

@@ -69,9 +69,8 @@ impl Watermark {
 
 /// One high/low watermark pair over a level.
 ///
-/// Standalone so that subsystems without an `SpcSet` at hand (the fabric's
-/// per-context telemetry) can embed the same cell; updates are relaxed
-/// `fetch_max`/`fetch_min`, so recording from many threads never blocks.
+/// Updates are relaxed `fetch_max`/`fetch_min`, so recording from many
+/// threads never blocks.
 #[derive(Debug)]
 pub struct WatermarkCell {
     high: AtomicU64,

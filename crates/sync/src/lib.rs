@@ -26,9 +26,14 @@
 //!   cargo feature unification.
 //!
 //! The three backends expose one API, so porting a crate is an import swap.
+//!
+//! The crate also carries the one lock-free queue built on these atomics,
+//! [`TicketRing`]: the offload command and completion queues and every
+//! network context's receive ring.
 
 mod cache_padded;
 mod primitives;
+mod ring;
 
 pub mod atomic;
 #[cfg(feature = "model")]
@@ -38,3 +43,4 @@ pub use cache_padded::CachePadded;
 pub use primitives::{
     Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLock,
 };
+pub use ring::{QueueFull, TicketRing};

@@ -251,8 +251,6 @@ pub(crate) struct MrWorld {
 impl WorldAccess for MrWorld {
     fn deliver(&mut self, mailbox: usize, payload: u64) {
         self.rings[mailbox].push_back(payload);
-        self.spc
-            .record_level(Watermark::InstanceRxDepth, self.rings[mailbox].len() as u64);
     }
 }
 
@@ -319,6 +317,12 @@ impl MrWorld {
             .add(Counter::CompletionsDrained, batch.len() as u64);
         self.spc
             .record_hist(Histogram::DrainBatchSize, batch.len() as u64);
+        if !batch.is_empty() {
+            // Same definition as the native progress engine: the packets
+            // one non-empty visit drained.
+            self.spc
+                .record_level(Watermark::InstanceRxDepth, batch.len() as u64);
+        }
         cost.extraction_ns * batch.len() as u64
     }
 

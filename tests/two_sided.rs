@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use fairmpi::{Assignment, Counter, DesignConfig, LockModel, MatchMode, ProgressMode, World};
+use fairmpi_spc::Watermark;
 
 fn designs() -> Vec<DesignConfig> {
     vec![
@@ -372,4 +373,27 @@ fn one_drained_batch_keeps_mpi_order() {
             }
         });
     }
+}
+
+/// The per-instance receive-ring depth pvar (`instance_rx_depth_hwm`) is
+/// sampled by the progress engine's drain: after traffic its high
+/// watermark is at least one packet and at most everything sent.
+#[test]
+fn instance_rx_depth_is_sampled_at_drain() {
+    const SENT: u64 = 64;
+    let world = World::builder().ranks(2).build();
+    let comm = world.comm_world();
+    let (p0, p1) = (world.proc(0), world.proc(1));
+    let sends: Vec<_> = (0..SENT)
+        .map(|i| p0.isend(&[], 1, i as i32, comm).unwrap())
+        .collect();
+    for i in 0..SENT {
+        p1.recv(0, 0, i as i32, comm).unwrap();
+    }
+    p0.waitall(&sends).unwrap();
+    let depth = p1.spc().watermark(Watermark::InstanceRxDepth).high();
+    assert!(
+        (1..=SENT).contains(&depth),
+        "instance_rx_depth_hwm = {depth}, expected 1..={SENT}"
+    );
 }

@@ -118,6 +118,16 @@ cmp results/fig_degradation.csv "$smoke_dir/results/fig_degradation.csv"
 "$bin/fairmpi-report" results/BENCH_fig_degradation.json \
     "$smoke_dir/results/BENCH_fig_degradation.json" --noise 0.05
 
+echo "== fig7: RMA-MT grid identity =="
+# The KNL RMA-MT grid (five message sizes, a few seconds) is the cheap
+# end-to-end gate on the RMA-MT actors: deterministic under virtual time,
+# so every panel must be BIT-IDENTICAL to the committed baseline.
+(cd "$smoke_dir" && "$bin/fig7" > fig7.log)
+! grep -q "FAIL" "$smoke_dir/fig7.log"
+for csv in results/fig7_*B.csv; do
+    cmp "$csv" "$smoke_dir/$csv"
+done
+
 echo "== chaos soak (seeded fault injection) =="
 # Three seeds of the degradation flagship on a trimmed grid under a 10%
 # wire drop. Each run must terminate with every message delivered exactly

@@ -21,7 +21,7 @@ use fairmpi_spc::{Counter, Histogram, SpcSet, SpcSnapshot, Watermark};
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{SimAssignment, SimProgress};
+use crate::workload::{IdleBackoff, Plan, SimAssignment, SimProgress, Sweep};
 
 /// How matching state is laid out across pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -225,7 +225,6 @@ enum WireVerdict {
 
 /// Shared state: receiver rings, the real matchers and sequencers.
 pub(crate) struct MrWorld {
-    design: SimDesign,
     chaos: Option<ChaosWire>,
     rings: Vec<VecDeque<u64>>,
     matchers: Vec<Matcher>,
@@ -255,13 +254,6 @@ impl WorldAccess for MrWorld {
 }
 
 impl MrWorld {
-    fn matcher_index(&self, comm: u32) -> usize {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => 0,
-            SimMatchLayout::CommPerPair => comm as usize,
-        }
-    }
-
     fn jitter(&mut self, max: u64) -> u64 {
         if max == 0 {
             0
@@ -273,33 +265,6 @@ impl MrWorld {
     fn note_received(&mut self, token: usize) {
         self.recv_done[token] += 1;
         self.received += 1;
-    }
-
-    /// Lock-free command enqueue (the whole point: no lock action here).
-    /// Returns false — after counting a backpressure stall — when full.
-    fn offload_enqueue(&mut self, cmd: OffloadCmd) -> bool {
-        let queue_len = match cmd {
-            OffloadCmd::Send(payload) => {
-                if self.cmd_send.len() >= OFFLOAD_QUEUE_CAP {
-                    self.spc.inc(Counter::OffloadBackpressureStalls);
-                    return false;
-                }
-                self.cmd_send.push_back(payload);
-                self.cmd_send.len()
-            }
-            OffloadCmd::Recv(id) => {
-                if self.cmd_recv.len() >= OFFLOAD_QUEUE_CAP {
-                    self.spc.inc(Counter::OffloadBackpressureStalls);
-                    return false;
-                }
-                self.cmd_recv.push_back(id);
-                self.cmd_recv.len()
-            }
-        };
-        self.spc.inc(Counter::OffloadCommands);
-        self.spc
-            .record_level(Watermark::OffloadQueueDepth, queue_len as u64);
-        true
     }
 
     /// Pop up to `DRAIN_BATCH` packets from one instance ring into `batch`;
@@ -358,7 +323,7 @@ impl MrWorld {
             }
         }
         let packet = unpack(payload);
-        let idx = self.matcher_index(packet.envelope.comm);
+        let idx = packet.envelope.comm as usize;
         let mut events = std::mem::take(&mut self.scratch);
         events.clear();
         let work = self.matchers[idx].deliver(packet, &mut events);
@@ -374,33 +339,386 @@ impl MrWorld {
     }
 }
 
-/// A simulated offload command descriptor.
-enum OffloadCmd {
-    /// A packed send payload, ready to inject.
-    Send(u64),
-    /// "Post one receive for receiver `id`".
-    Recv(usize),
+/// Lock-free enqueue of one offload command (the whole point: no lock
+/// action here). Returns false — after counting a backpressure stall —
+/// when the queue is full.
+fn offload_enqueue<T>(queue: &mut VecDeque<T>, spc: &SpcSet, cmd: T) -> bool {
+    if queue.len() >= OFFLOAD_QUEUE_CAP {
+        spc.inc(Counter::OffloadBackpressureStalls);
+        return false;
+    }
+    queue.push_back(cmd);
+    spc.inc(Counter::OffloadCommands);
+    spc.record_level(Watermark::OffloadQueueDepth, queue.len() as u64);
+    true
 }
 
-#[derive(Clone)]
+/// What every actor of one run shares: the design, the cost model and the
+/// simulated locks.
 struct Wiring {
+    design: SimDesign,
+    cost: CostModel,
     instances: usize,
-    wire_latency: u64,
-    jitter: u64,
+    send_locks: Vec<LockId>,
+    recv_locks: Vec<LockId>,
+    match_locks: Vec<LockId>,
+    gate: LockId,
     big: LockId,
     /// Send-side request-pool locks (one per process: a single entry in
     /// thread mode, one per pair in process mode).
-    send_pools: Arc<[LockId]>,
+    send_pools: Vec<LockId>,
     /// Receive-side request-pool locks.
-    recv_pools: Arc<[LockId]>,
+    recv_pools: Vec<LockId>,
 }
 
 impl Wiring {
     fn send_pool(&self, pair: usize) -> LockId {
         self.send_pools[pair % self.send_pools.len()]
     }
+
     fn recv_pool(&self, pair: usize) -> LockId {
         self.recv_pools[pair % self.recv_pools.len()]
+    }
+
+    /// The communicator that pair `pair`'s traffic travels on. A
+    /// communicator id is also the index of its matcher, sequencer and
+    /// matching lock: under `SingleComm` every pair is on communicator 0.
+    fn comm_of(&self, pair: usize) -> u32 {
+        match self.design.matching {
+            SimMatchLayout::SingleComm => 0,
+            SimMatchLayout::CommPerPair => pair as u32,
+        }
+    }
+
+    fn match_lock(&self, comm: u32) -> LockId {
+        self.match_locks[comm as usize]
+    }
+}
+
+// ---------------------------------------------------------------------
+// Protocol phases, shared by the application actors and the offload
+// workers
+// ---------------------------------------------------------------------
+
+/// A phase's answer to one step: an action to yield, or the phase's end
+/// (reported on the step after its last action completed). Each phase's
+/// `step` is inlined into its two callers: as an outlined call the extra
+/// dispatch cost ≈ 7 % of simulator CPU time (`diag 20 20 concurrent
+/// perpair`).
+enum Flow<T> {
+    Yield(Action),
+    Done(T),
+}
+
+#[derive(Clone, Copy, Default)]
+enum ShipStep {
+    #[default]
+    Lock,
+    Inject,
+    Ship,
+    /// Chaos duplicated the frame: post the second copy.
+    ShipDup,
+    /// Chaos dropped the frame: the (virtual) ack timeout elapses with
+    /// nothing to show.
+    Backoff,
+    Release,
+    Shipped,
+    Lost,
+}
+
+/// Injecting one frame: take the instance (or big) lock, charge the
+/// injection, ship the frame (twice when chaos duplicates it), release.
+/// A frame chaos drops releases the lock and sleeps out the ack timeout
+/// instead, and the phase ends `Done(false)`: the owner picks an instance
+/// and starts it again.
+#[derive(Default)]
+struct Injection {
+    step: ShipStep,
+    lock: LockId,
+    mailbox: usize,
+    payload: u64,
+    /// Retransmit attempts for the in-hand frame (chaos only).
+    attempt: u32,
+}
+
+impl Injection {
+    fn start(&mut self, lock: LockId, mailbox: usize, payload: u64) {
+        self.step = ShipStep::Lock;
+        self.lock = lock;
+        self.mailbox = mailbox;
+        self.payload = payload;
+    }
+
+    #[inline(always)]
+    fn step(&mut self, world: &mut MrWorld, w: &Wiring) -> Flow<bool> {
+        let action = match self.step {
+            ShipStep::Lock => {
+                self.step = ShipStep::Inject;
+                Action::Lock(self.lock)
+            }
+            ShipStep::Inject => {
+                self.step = ShipStep::Ship;
+                Action::Compute(w.cost.injection_time_ns(0, 28))
+            }
+            ShipStep::Ship => {
+                // A unique message counts as sent on its first injection,
+                // whatever the wire then does to it; retransmits don't.
+                if self.attempt == 0 {
+                    world.spc.inc(Counter::MessagesSent);
+                }
+                match world.chaos_ship() {
+                    WireVerdict::Drop => {
+                        // The sender only learns of the loss when the ack
+                        // timeout fires: release the instance and back off.
+                        self.step = ShipStep::Backoff;
+                        Action::Unlock(self.lock)
+                    }
+                    verdict => {
+                        self.attempt = 0;
+                        self.step = if verdict == WireVerdict::Duplicate {
+                            ShipStep::ShipDup
+                        } else {
+                            ShipStep::Release
+                        };
+                        self.post(world, w)
+                    }
+                }
+            }
+            ShipStep::ShipDup => {
+                self.step = ShipStep::Release;
+                self.post(world, w)
+            }
+            ShipStep::Backoff => {
+                let backoff = w.cost.retransmit_timeout_ns << self.attempt.min(6);
+                self.attempt += 1;
+                world.spc.inc(Counter::Retransmits);
+                world.spc.add(Counter::RetryBackoffNanos, backoff);
+                self.step = ShipStep::Lost;
+                Action::Sleep(backoff)
+            }
+            ShipStep::Release => {
+                self.step = ShipStep::Shipped;
+                Action::Unlock(self.lock)
+            }
+            ShipStep::Shipped => return Flow::Done(true),
+            ShipStep::Lost => return Flow::Done(false),
+        };
+        Flow::Yield(action)
+    }
+
+    fn post(&self, world: &mut MrWorld, w: &Wiring) -> Action {
+        Action::Post {
+            mailbox: self.mailbox,
+            payload: self.payload,
+            delay_ns: w.cost.wire_latency_ns + world.jitter(w.cost.delivery_jitter_ns),
+        }
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+enum PostStep {
+    #[default]
+    Lock,
+    Charge,
+    Unlock,
+    Posted,
+}
+
+/// Posting one receive for pair `id`: take its matching lock (the big
+/// lock under `big_lock`), post through the real matcher, charge the work
+/// plus the lock wait as match time (as OMPI's SPC does: the Table II
+/// number), release.
+#[derive(Default)]
+struct Post {
+    step: PostStep,
+    id: usize,
+    lock: LockId,
+    wait_from: u64,
+}
+
+impl Post {
+    fn start(&mut self, id: usize, w: &Wiring) {
+        self.step = PostStep::Lock;
+        self.id = id;
+        self.lock = if w.design.big_lock {
+            w.big
+        } else {
+            w.match_lock(w.comm_of(id))
+        };
+    }
+
+    #[inline(always)]
+    fn step(&mut self, now: u64, world: &mut MrWorld, w: &Wiring) -> Flow<()> {
+        let action = match self.step {
+            PostStep::Lock => {
+                self.wait_from = now;
+                self.step = PostStep::Charge;
+                Action::Lock(self.lock)
+            }
+            PostStep::Charge => {
+                let comm = w.comm_of(self.id);
+                let recv = PostedRecv {
+                    token: self.id as u64,
+                    comm,
+                    src: 0,
+                    tag: if w.design.any_tag {
+                        ANY_TAG
+                    } else {
+                        self.id as i32
+                    },
+                };
+                let (outcome, work) = world.matchers[comm as usize].post_recv(recv);
+                if let PostOutcome::Matched(_) = outcome {
+                    world.note_received(self.id);
+                }
+                let cost = w.cost.match_time_ns(&work);
+                world
+                    .spc
+                    .add(Counter::MatchTimeNanos, cost + (now - self.wait_from));
+                self.step = PostStep::Unlock;
+                Action::Compute(cost)
+            }
+            PostStep::Unlock => {
+                self.step = PostStep::Posted;
+                Action::Unlock(self.lock)
+            }
+            PostStep::Posted => return Flow::Done(()),
+        };
+        Flow::Yield(action)
+    }
+}
+
+#[derive(Clone, Copy, Default)]
+enum PassStep {
+    #[default]
+    TryLock,
+    Tried,
+    Extract,
+    InstanceUnlock,
+    MatchLock,
+    MatchCharge,
+    MatchUnlock,
+    Next,
+}
+
+/// One progress pass (paper Algorithm 2): try-lock each planned instance,
+/// skipping one that is busy; extract a batch under its lock; release it;
+/// match each drained packet under its matching lock; end after the first
+/// instance that completed something unless the sweep is a whole one (the
+/// serial gate holder's). Ends `Done(useful)` once booked as a useful or
+/// wasted pass.
+#[derive(Default)]
+struct Pass {
+    step: PassStep,
+    sweep: Sweep,
+    batch: Vec<u64>,
+    batch_pos: usize,
+    /// Receives completed during this pass.
+    got: usize,
+    /// When the current match-lock acquisition started, for charging lock
+    /// wait into the match-time counter (as OMPI's SPC does).
+    wait_from: u64,
+}
+
+impl Pass {
+    fn start(&mut self, instances: usize, plan: Plan) {
+        self.step = PassStep::TryLock;
+        self.sweep.plan(instances, plan);
+        self.got = 0;
+    }
+
+    #[inline(always)]
+    fn step(&mut self, resume: Resume, now: u64, world: &mut MrWorld, w: &Wiring) -> Flow<bool> {
+        loop {
+            let action = match self.step {
+                PassStep::TryLock => {
+                    self.step = PassStep::Tried;
+                    Action::TryLock(w.recv_locks[self.sweep.current()])
+                }
+                PassStep::Tried => {
+                    let Resume::TryLockResult(got) = resume else {
+                        unreachable!("instance resume must carry a try-lock result");
+                    };
+                    if got {
+                        self.step = PassStep::Extract;
+                    } else {
+                        world.spc.inc(Counter::InstanceTryLockFailures);
+                        self.step = PassStep::Next;
+                    }
+                    continue;
+                }
+                PassStep::Extract => {
+                    self.step = PassStep::InstanceUnlock;
+                    Action::Compute(self.extract(world, &w.cost))
+                }
+                PassStep::InstanceUnlock => {
+                    self.step = PassStep::MatchLock;
+                    Action::Unlock(w.recv_locks[self.sweep.current()])
+                }
+                PassStep::MatchLock => {
+                    let Some(payload) = self.pending() else {
+                        self.step = PassStep::Next;
+                        continue;
+                    };
+                    self.wait_from = now;
+                    self.step = PassStep::MatchCharge;
+                    Action::Lock(w.match_lock(payload_comm(payload)))
+                }
+                PassStep::MatchCharge => {
+                    let cost = self.match_next(world, &w.cost);
+                    world.spc.add(Counter::MatchTimeNanos, now - self.wait_from);
+                    self.step = PassStep::MatchUnlock;
+                    Action::Compute(cost)
+                }
+                PassStep::MatchUnlock => {
+                    let comm = payload_comm(self.batch[self.batch_pos - 1]);
+                    self.step = PassStep::MatchLock;
+                    Action::Unlock(w.match_lock(comm))
+                }
+                PassStep::Next => {
+                    if self.sweep.next(self.got > 0).is_none() {
+                        return Flow::Done(self.book(&world.spc));
+                    }
+                    self.step = PassStep::TryLock;
+                    continue;
+                }
+            };
+            return Flow::Yield(action);
+        }
+    }
+
+    /// Drain a batch from the instance under the cursor; returns the
+    /// extraction cost.
+    fn extract(&mut self, world: &mut MrWorld, cost: &CostModel) -> u64 {
+        self.batch_pos = 0;
+        world.extract_into(self.sweep.current(), &mut self.batch, cost)
+    }
+
+    /// The next drained packet still to match.
+    fn pending(&self) -> Option<u64> {
+        self.batch.get(self.batch_pos).copied()
+    }
+
+    /// Deliver the next drained packet through the real matcher; returns
+    /// the virtual cost of the work actually performed.
+    fn match_next(&mut self, world: &mut MrWorld, cost: &CostModel) -> u64 {
+        let payload = self.batch[self.batch_pos];
+        self.batch_pos += 1;
+        let (ns, got) = world.match_deliver(payload, cost);
+        self.got += got;
+        ns
+    }
+
+    /// Book the pass as useful or wasted (the polling-overhead share the
+    /// paper's designs trade off); true if it completed something.
+    fn book(&self, spc: &SpcSet) -> bool {
+        if self.got == 0 {
+            spc.inc(Counter::ProgressWastedPasses);
+            false
+        } else {
+            spc.inc(Counter::ProgressUsefulPasses);
+            true
+        }
     }
 }
 
@@ -408,6 +726,7 @@ impl Wiring {
 // Sender actor
 // ---------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 enum SState {
     /// Pick the next message (draw seq) or finish.
     Next,
@@ -417,19 +736,10 @@ enum SState {
     PoolCharge,
     /// Release the pool, then go for the instance.
     PoolRelease,
-    /// Acquire the instance (or big) lock.
+    /// Pick the instance and start injecting through it.
     Acquire,
-    /// Lock granted; charge injection.
-    Inject,
-    /// Injection done; ship on the wire.
+    /// Injecting (see [`Injection`]).
     Ship,
-    /// Chaos duplicated the frame: post the second copy.
-    ShipDup,
-    /// Chaos dropped the frame: the (virtual) ack timeout elapsed with
-    /// nothing to show; back off, then re-acquire and re-inject.
-    RetryBackoff,
-    /// Shipped; release the lock.
-    Release,
     /// Offload mode: lock-free enqueue onto the command queue (retried
     /// with a short nap when the queue is full — backpressure).
     OffloadEnqueue,
@@ -440,152 +750,92 @@ struct Sender {
     comm: u32,
     remaining: u64,
     state: SState,
-    cost: CostModel,
-    design: SimDesign,
-    wiring: Wiring,
-    send_locks: Arc<[LockId]>,
-    cur_instance: usize,
-    cur_payload: u64,
-    /// Retransmit attempts for the in-hand frame (chaos only).
-    attempt: u32,
-}
-
-impl Sender {
-    fn lock_id(&self) -> LockId {
-        if self.design.big_lock {
-            self.wiring.big
-        } else {
-            self.send_locks[self.cur_instance]
-        }
-    }
+    w: Arc<Wiring>,
+    payload: u64,
+    ship: Injection,
 }
 
 impl Actor<MrWorld> for Sender {
     fn step(&mut self, _resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
-        match self.state {
-            SState::Next => {
-                if self.remaining == 0 {
-                    world.senders_done += 1;
-                    return Action::Done;
+        let design = self.w.design;
+        loop {
+            match self.state {
+                SState::Next => {
+                    if self.remaining == 0 {
+                        world.senders_done += 1;
+                        return Action::Done;
+                    }
+                    self.remaining -= 1;
+                    // Draw the sequence number *now*, before acquiring the
+                    // instance — the variable delay between the draw and
+                    // the injection is what lets threads overtake each
+                    // other and produce out-of-sequence arrivals. (In
+                    // offload mode the draw happens at enqueue time, in
+                    // program order, exactly like the native runtime.)
+                    let seq = world.sequencers[self.comm as usize].next(0);
+                    self.payload = pack(self.comm, self.pair as u16, seq);
+                    self.state = if design.big_lock {
+                        // The big lock already serializes everything; the
+                        // pool is not a separate bottleneck there.
+                        SState::Acquire
+                    } else if design.offload_workers > 0 {
+                        // Offload: the descriptor *is* the command-ring
+                        // slot, so submission never touches the
+                        // process-shared request pool — the serialization
+                        // that pins every other thread-mode design to the
+                        // pool ceiling.
+                        SState::OffloadEnqueue
+                    } else {
+                        SState::PoolAcquire
+                    };
+                    return Action::Compute(self.w.cost.send_software_ns);
                 }
-                self.remaining -= 1;
-                // Draw the sequence number *now*, before acquiring the
-                // instance — the variable delay between the draw and
-                // the injection is what lets threads overtake each
-                // other and produce out-of-sequence arrivals. (In offload
-                // mode the draw happens at enqueue time, in program order,
-                // exactly like the native runtime.)
-                let seq = world.sequencers[world.matcher_index(self.comm)].next(0);
-                self.cur_payload = pack(self.comm, self.pair as u16, seq);
-                self.state = if self.design.big_lock {
-                    // The big lock already serializes everything; the
-                    // pool is not a separate bottleneck there.
-                    SState::Acquire
-                } else if self.design.offload_workers > 0 {
-                    // Offload: the descriptor *is* the command-ring slot,
-                    // so submission never touches the process-shared
-                    // request pool — the serialization that pins every
-                    // other thread-mode design to the pool ceiling.
-                    SState::OffloadEnqueue
-                } else {
-                    SState::PoolAcquire
-                };
-                Action::Compute(self.cost.send_software_ns)
-            }
-            SState::PoolAcquire => {
-                self.state = SState::PoolCharge;
-                Action::Lock(self.wiring.send_pool(self.pair))
-            }
-            SState::PoolCharge => {
-                self.state = SState::PoolRelease;
-                Action::Compute(self.cost.request_pool_ns)
-            }
-            SState::PoolRelease => {
-                self.state = if self.design.offload_workers > 0 {
-                    SState::OffloadEnqueue
-                } else {
-                    SState::Acquire
-                };
-                Action::Unlock(self.wiring.send_pool(self.pair))
-            }
-            SState::OffloadEnqueue => {
-                if world.offload_enqueue(OffloadCmd::Send(self.cur_payload)) {
-                    self.state = SState::Next;
-                    Action::Compute(self.cost.offload_enqueue_ns)
-                } else {
+                SState::PoolAcquire => {
+                    self.state = SState::PoolCharge;
+                    return Action::Lock(self.w.send_pool(self.pair));
+                }
+                SState::PoolCharge => {
+                    self.state = SState::PoolRelease;
+                    return Action::Compute(self.w.cost.request_pool_ns);
+                }
+                SState::PoolRelease => {
+                    self.state = SState::Acquire;
+                    return Action::Unlock(self.w.send_pool(self.pair));
+                }
+                SState::OffloadEnqueue => {
+                    if offload_enqueue(&mut world.cmd_send, &world.spc, self.payload) {
+                        self.state = SState::Next;
+                        return Action::Compute(self.w.cost.offload_enqueue_ns);
+                    }
                     // Queue full: nap and retry (the Yield backpressure
                     // policy). The descriptor and its seq are kept.
-                    Action::Sleep(500)
+                    return Action::Sleep(500);
                 }
-            }
-            SState::Acquire => {
-                self.cur_instance = if self.design.process_mode {
-                    self.pair % self.wiring.instances
-                } else {
-                    match self.design.assignment {
-                        SimAssignment::Dedicated => self.pair % self.wiring.instances,
-                        SimAssignment::RoundRobin => {
-                            world.rr_send += 1;
-                            (world.rr_send - 1) as usize % self.wiring.instances
-                        }
-                    }
-                };
-                self.state = SState::Inject;
-                Action::Lock(self.lock_id())
-            }
-            SState::Inject => {
-                self.state = SState::Ship;
-                Action::Compute(self.cost.injection_time_ns(0, 28))
-            }
-            SState::Ship => {
-                // A unique message counts as sent on its first injection,
-                // whatever the wire then does to it; retransmits don't.
-                if self.attempt == 0 {
-                    world.spc.inc(Counter::MessagesSent);
+                SState::Acquire => {
+                    let assignment = if design.process_mode {
+                        SimAssignment::Dedicated
+                    } else {
+                        design.assignment
+                    };
+                    let instance = assignment.pick(self.pair, self.w.instances, &mut world.rr_send);
+                    let lock = if design.big_lock {
+                        self.w.big
+                    } else {
+                        self.w.send_locks[instance]
+                    };
+                    self.ship.start(lock, instance, self.payload);
+                    self.state = SState::Ship;
                 }
-                match world.chaos_ship() {
-                    WireVerdict::Drop => {
-                        // The sender only learns of the loss when the ack
-                        // timeout fires: release the instance and back off.
-                        self.state = SState::RetryBackoff;
-                        Action::Unlock(self.lock_id())
-                    }
-                    verdict => {
-                        let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                        self.attempt = 0;
-                        self.state = if verdict == WireVerdict::Duplicate {
-                            SState::ShipDup
+                SState::Ship => match self.ship.step(world, &self.w) {
+                    Flow::Yield(action) => return action,
+                    Flow::Done(shipped) => {
+                        self.state = if shipped {
+                            SState::Next
                         } else {
-                            SState::Release
+                            SState::Acquire
                         };
-                        Action::Post {
-                            mailbox: self.cur_instance,
-                            payload: self.cur_payload,
-                            delay_ns: delay,
-                        }
                     }
-                }
-            }
-            SState::ShipDup => {
-                let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                self.state = SState::Release;
-                Action::Post {
-                    mailbox: self.cur_instance,
-                    payload: self.cur_payload,
-                    delay_ns: delay,
-                }
-            }
-            SState::RetryBackoff => {
-                let backoff = self.cost.retransmit_timeout_ns << self.attempt.min(6);
-                self.attempt += 1;
-                world.spc.inc(Counter::Retransmits);
-                world.spc.add(Counter::RetryBackoffNanos, backoff);
-                self.state = SState::Acquire;
-                Action::Sleep(backoff)
-            }
-            SState::Release => {
-                self.state = SState::Next;
-                Action::Unlock(self.lock_id())
+                },
             }
         }
     }
@@ -595,6 +845,7 @@ impl Actor<MrWorld> for Sender {
 // Receiver actor
 // ---------------------------------------------------------------------
 
+#[derive(Clone, Copy)]
 enum RState {
     /// Top of the loop: post, progress, or finish.
     Idle,
@@ -604,35 +855,15 @@ enum RState {
     PoolCharge,
     /// Release the pool.
     PoolRelease,
-    /// Acquire the match lock to post one receive.
-    PostLock,
-    /// Holding the match lock: post through the real matcher, charge.
-    PostCharge,
-    /// Release the match lock after posting.
-    PostUnlock,
+    /// Posting one receive (see [`Post`]).
+    Post,
     /// Begin one progress pass.
     Progress,
     /// Serial mode: result of the global gate try-lock.
     GateTried,
-    /// Result of an instance try-lock (both progress designs; the gate
-    /// holder also try-locks, skipping instances busy with senders).
-    ConcTried,
-    /// Holding an instance lock: extract a batch, charge extraction.
-    Extract,
-    /// Release the instance lock, then match the batch.
-    InstanceUnlock,
-    /// Acquire the match lock for the next drained packet.
-    MatchLock,
-    /// Holding the match lock: deliver through the real matcher, charge.
-    MatchCharge,
-    /// Release the match lock, continue the batch.
-    MatchUnlock,
-    /// Batch finished: advance the sweep or end the pass.
-    NextInstance,
-    /// Serial mode: release the gate at the end of the pass.
-    ReleaseGate,
-    /// Big-lock mode: acquire the global critical section for the pass.
-    BigAcquire,
+    /// In a progress pass (see [`Pass`]); the serial gate holder releases
+    /// the gate after it.
+    Pass { gate: bool },
     /// Big-lock mode: extract from the next instance (no inner locks).
     BigExtract,
     /// Big-lock mode: match the batch (no inner locks).
@@ -649,31 +880,15 @@ enum RState {
 
 struct Receiver {
     id: usize,
-    comm: u32,
-    tag: i32,
     window: usize,
     iterations: usize,
-    cost: CostModel,
-    design: SimDesign,
-    wiring: Wiring,
-    recv_locks: Arc<[LockId]>,
-    match_locks: Arc<[LockId]>,
-    gate: LockId,
+    w: Arc<Wiring>,
     state: RState,
     posted: u64,
     wait_target: u64,
-    sweep: Vec<usize>,
-    sweep_pos: usize,
-    cur_instance: usize,
-    batch: Vec<u64>,
-    batch_pos: usize,
-    got_this_pass: usize,
-    holding_gate: bool,
-    /// When the current match-lock acquisition started, for charging lock
-    /// wait into the match-time counter (as OMPI's SPC does).
-    match_wait_from: u64,
-    /// Consecutive empty progress passes, for poll backoff.
-    idle_streak: u32,
+    post: Post,
+    pass: Pass,
+    idle: IdleBackoff,
 }
 
 impl Receiver {
@@ -681,78 +896,28 @@ impl Receiver {
         (self.window * self.iterations) as u64
     }
 
-    fn match_lock_for(&self, comm: u32) -> LockId {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => self.match_locks[0],
-            SimMatchLayout::CommPerPair => self.match_locks[comm as usize],
+    fn note_posted(&mut self) {
+        self.posted += 1;
+        if self.posted.is_multiple_of(self.window as u64) {
+            self.wait_target = self.posted;
         }
     }
 
-    fn plan_sweep(&mut self, world: &mut MrWorld, all: bool) {
-        self.sweep.clear();
-        self.sweep_pos = 0;
-        self.got_this_pass = 0;
-        if self.design.process_mode {
-            self.sweep.push(self.id % self.wiring.instances);
-            return;
-        }
-        if all {
-            self.sweep.extend(0..self.wiring.instances);
-            return;
-        }
-        // Algorithm 2: assigned instance first, then round-robin fallback.
-        let first = match self.design.assignment {
-            SimAssignment::Dedicated => self.id % self.wiring.instances,
-            SimAssignment::RoundRobin => {
-                world.rr_recv += 1;
-                (world.rr_recv - 1) as usize % self.wiring.instances
-            }
-        };
-        for off in 0..self.wiring.instances {
-            self.sweep.push((first + off) % self.wiring.instances);
-        }
-    }
-
-    fn extract_batch(&mut self, world: &mut MrWorld) -> u64 {
-        self.batch_pos = 0;
-        world.extract_into(self.cur_instance, &mut self.batch, &self.cost)
-    }
-
-    /// Deliver one drained packet through the real matcher; returns the
-    /// virtual cost of the work actually performed.
-    fn match_one(&mut self, world: &mut MrWorld) -> u64 {
-        let payload = self.batch[self.batch_pos];
-        self.batch_pos += 1;
-        let (cost, got) = world.match_deliver(payload, &self.cost);
-        self.got_this_pass += got;
-        cost
-    }
-
-    /// After a batch: where to next? Also books the pass as useful or
-    /// wasted (the polling-overhead share the paper's designs trade off).
-    fn end_of_pass_state(&mut self, world: &mut MrWorld) -> RState {
-        if self.got_this_pass == 0 {
-            world.spc.inc(Counter::ProgressWastedPasses);
-            RState::IdlePoll
-        } else {
-            world.spc.inc(Counter::ProgressUsefulPasses);
-            self.idle_streak = 0;
+    /// Where to go after a pass: back to the top, or idle if it was wasted.
+    fn after_pass(&mut self, useful: bool) -> RState {
+        if useful {
+            self.idle.reset();
             RState::Idle
+        } else {
+            RState::IdlePoll
         }
-    }
-
-    /// Exponential poll backoff, capped: idle receivers must not dominate
-    /// the event budget, and real progress polls also cool down under
-    /// `sched_yield`.
-    fn backoff_ns(&mut self) -> u64 {
-        let ns = 150u64.saturating_mul(1 << self.idle_streak.min(7));
-        self.idle_streak += 1;
-        ns.min(20_000)
     }
 }
 
 impl Actor<MrWorld> for Receiver {
-    fn step(&mut self, resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
+    fn step(&mut self, resume: Resume, now: u64, world: &mut MrWorld) -> Action {
+        let design = self.w.design;
+        let instances = self.w.instances;
         loop {
             match self.state {
                 RState::Idle => {
@@ -761,21 +926,24 @@ impl Actor<MrWorld> for Receiver {
                         return Action::Done;
                     }
                     if self.posted < self.total() && done >= self.wait_target {
-                        self.state = if self.design.big_lock {
-                            RState::PostLock
-                        } else if self.design.offload_workers > 0 {
+                        self.state = if design.offload_workers > 0 {
                             // Offload: the recv descriptor rides in the
                             // ring slot; no shared-pool visit.
                             RState::OffloadPost
                         } else {
-                            RState::PoolAcquire
+                            self.post.start(self.id, &self.w);
+                            if design.big_lock {
+                                RState::Post
+                            } else {
+                                RState::PoolAcquire
+                            }
                         };
-                        return Action::Compute(self.cost.recv_software_ns);
+                        return Action::Compute(self.w.cost.recv_software_ns);
                     }
                     // Offload: the workers progress; the application thread
                     // only polls its completion queue (an empty-poll charge
                     // plus backoff — the CQ read is the cqe cost).
-                    self.state = if self.design.offload_workers > 0 {
+                    self.state = if design.offload_workers > 0 {
                         RState::IdlePoll
                     } else {
                         RState::Progress
@@ -783,99 +951,58 @@ impl Actor<MrWorld> for Receiver {
                 }
                 RState::PoolAcquire => {
                     self.state = RState::PoolCharge;
-                    return Action::Lock(self.wiring.recv_pool(self.id));
+                    return Action::Lock(self.w.recv_pool(self.id));
                 }
                 RState::PoolCharge => {
                     self.state = RState::PoolRelease;
-                    return Action::Compute(self.cost.request_pool_ns);
+                    return Action::Compute(self.w.cost.request_pool_ns);
                 }
                 RState::PoolRelease => {
-                    self.state = if self.design.offload_workers > 0 {
-                        RState::OffloadPost
-                    } else {
-                        RState::PostLock
-                    };
-                    return Action::Unlock(self.wiring.recv_pool(self.id));
+                    self.state = RState::Post;
+                    return Action::Unlock(self.w.recv_pool(self.id));
                 }
                 RState::OffloadPost => {
-                    if world.offload_enqueue(OffloadCmd::Recv(self.id)) {
-                        self.posted += 1;
-                        if self.posted.is_multiple_of(self.window as u64) {
-                            self.wait_target = self.posted;
-                        }
-                        self.idle_streak = 0;
-                        self.state = RState::Idle;
-                        return Action::Compute(self.cost.offload_enqueue_ns);
+                    if !offload_enqueue(&mut world.cmd_recv, &world.spc, self.id) {
+                        return Action::Sleep(500);
                     }
-                    return Action::Sleep(500);
-                }
-                RState::PostLock => {
-                    self.state = RState::PostCharge;
-                    self.match_wait_from = _now;
-                    if self.design.big_lock {
-                        return Action::Lock(self.wiring.big);
-                    }
-                    return Action::Lock(self.match_lock_for(self.comm));
-                }
-                RState::PostCharge => {
-                    let recv = PostedRecv {
-                        token: self.id as u64,
-                        comm: self.comm,
-                        src: 0,
-                        tag: if self.design.any_tag {
-                            ANY_TAG
-                        } else {
-                            self.tag
-                        },
-                    };
-                    let idx = world.matcher_index(self.comm);
-                    let (outcome, work) = world.matchers[idx].post_recv(recv);
-                    if let PostOutcome::Matched(_) = outcome {
-                        world.note_received(self.id);
-                    }
-                    self.posted += 1;
-                    if self.posted.is_multiple_of(self.window as u64) {
-                        self.wait_target = self.posted;
-                    }
-                    let cost = self.cost.match_time_ns(&work);
-                    // Match time includes the wait for the matching lock,
-                    // as in OMPI's SPC (the Table II number).
-                    world.spc.add(
-                        Counter::MatchTimeNanos,
-                        cost + (_now - self.match_wait_from),
-                    );
-                    self.state = RState::PostUnlock;
-                    return Action::Compute(cost);
-                }
-                RState::PostUnlock => {
+                    self.note_posted();
+                    self.idle.reset();
                     self.state = RState::Idle;
-                    if self.design.big_lock {
-                        return Action::Unlock(self.wiring.big);
-                    }
-                    return Action::Unlock(self.match_lock_for(self.comm));
+                    return Action::Compute(self.w.cost.offload_enqueue_ns);
                 }
+                RState::Post => match self.post.step(now, world, &self.w) {
+                    Flow::Yield(action) => return action,
+                    Flow::Done(()) => {
+                        self.note_posted();
+                        self.state = RState::Idle;
+                    }
+                },
                 RState::Progress => {
                     world.spc.inc(Counter::ProgressCalls);
-                    if self.design.big_lock {
-                        self.state = RState::BigAcquire;
+                    if design.big_lock {
+                        self.pass.start(instances, Plan::All);
+                        self.state = RState::BigExtract;
+                        return Action::Lock(self.w.big);
+                    }
+                    if design.process_mode {
+                        self.pass.start(instances, Plan::Only(self.id % instances));
+                        self.state = RState::Pass { gate: false };
                         continue;
                     }
-                    if self.design.process_mode {
-                        self.plan_sweep(world, false);
-                        self.cur_instance = self.sweep[0];
-                        self.state = RState::ConcTried;
-                        return Action::TryLock(self.recv_locks[self.cur_instance]);
-                    }
-                    match self.design.progress {
+                    match design.progress {
                         SimProgress::Serial => {
                             self.state = RState::GateTried;
-                            return Action::TryLock(self.gate);
+                            return Action::TryLock(self.w.gate);
                         }
                         SimProgress::Concurrent => {
-                            self.plan_sweep(world, false);
-                            self.cur_instance = self.sweep[0];
-                            self.state = RState::ConcTried;
-                            return Action::TryLock(self.recv_locks[self.cur_instance]);
+                            // Algorithm 2: assigned instance first, then
+                            // round-robin fallback.
+                            let first =
+                                design
+                                    .assignment
+                                    .pick(self.id, instances, &mut world.rr_recv);
+                            self.pass.start(instances, Plan::From(first));
+                            self.state = RState::Pass { gate: false };
                         }
                     }
                 }
@@ -889,116 +1016,46 @@ impl Actor<MrWorld> for Receiver {
                         self.state = RState::IdlePoll;
                         continue;
                     }
-                    self.holding_gate = true;
-                    self.plan_sweep(world, true);
-                    self.cur_instance = self.sweep[0];
-                    self.state = RState::ConcTried;
-                    // The gate holder try-locks each instance: an instance
+                    // The gate holder also try-locks each instance: one
                     // busy with a sender is skipped and revisited on the
                     // next pass rather than queued behind the convoy.
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
+                    self.pass.start(instances, Plan::All);
+                    self.state = RState::Pass { gate: true };
                 }
-                RState::ConcTried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("instance resume must carry a try-lock result");
-                    };
-                    if !got {
-                        world.spc.inc(Counter::InstanceTryLockFailures);
-                        self.state = RState::NextInstance;
-                        continue;
-                    }
-                    self.state = RState::Extract;
-                }
-                RState::Extract => {
-                    let cost = self.extract_batch(world);
-                    self.state = RState::InstanceUnlock;
-                    return Action::Compute(cost);
-                }
-                RState::InstanceUnlock => {
-                    self.state = RState::MatchLock;
-                    return Action::Unlock(self.recv_locks[self.cur_instance]);
-                }
-                RState::MatchLock => {
-                    if self.batch_pos >= self.batch.len() {
-                        self.state = RState::NextInstance;
-                        continue;
-                    }
-                    let comm = payload_comm(self.batch[self.batch_pos]);
-                    self.state = RState::MatchCharge;
-                    self.match_wait_from = _now;
-                    return Action::Lock(self.match_lock_for(comm));
-                }
-                RState::MatchCharge => {
-                    let cost = self.match_one(world);
-                    world
-                        .spc
-                        .add(Counter::MatchTimeNanos, _now - self.match_wait_from);
-                    self.state = RState::MatchUnlock;
-                    return Action::Compute(cost);
-                }
-                RState::MatchUnlock => {
-                    let comm = payload_comm(self.batch[self.batch_pos - 1]);
-                    self.state = RState::MatchLock;
-                    return Action::Unlock(self.match_lock_for(comm));
-                }
-                RState::NextInstance => {
-                    self.sweep_pos += 1;
-                    // Algorithm 2 ends the fallback sweep at the first
-                    // instance that yielded completions; the serial gate
-                    // holder sweeps everything.
-                    let early_stop = !self.holding_gate && self.got_this_pass > 0;
-                    if self.sweep_pos >= self.sweep.len() || early_stop {
-                        if self.holding_gate {
-                            self.state = RState::ReleaseGate;
-                        } else {
-                            self.state = self.end_of_pass_state(world);
+                RState::Pass { gate } => match self.pass.step(resume, now, world, &self.w) {
+                    Flow::Yield(action) => return action,
+                    Flow::Done(useful) => {
+                        self.state = self.after_pass(useful);
+                        if gate {
+                            return Action::Unlock(self.w.gate);
                         }
-                        continue;
                     }
-                    self.cur_instance = self.sweep[self.sweep_pos];
-                    self.state = RState::ConcTried;
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
-                }
-                RState::ReleaseGate => {
-                    self.holding_gate = false;
-                    self.state = self.end_of_pass_state(world);
-                    return Action::Unlock(self.gate);
-                }
-                RState::BigAcquire => {
-                    self.plan_sweep(world, true);
-                    self.state = RState::BigExtract;
-                    return Action::Lock(self.wiring.big);
-                }
+                },
                 RState::BigExtract => {
-                    if self.sweep_pos >= self.sweep.len() {
-                        self.state = RState::BigRelease;
-                        continue;
-                    }
-                    self.cur_instance = self.sweep[self.sweep_pos];
-                    let cost = self.extract_batch(world);
                     self.state = RState::BigMatch;
-                    return Action::Compute(cost);
+                    return Action::Compute(self.pass.extract(world, &self.w.cost));
                 }
                 RState::BigMatch => {
-                    if self.batch_pos >= self.batch.len() {
-                        self.sweep_pos += 1;
-                        self.state = RState::BigExtract;
-                        continue;
+                    if self.pass.pending().is_some() {
+                        return Action::Compute(self.pass.match_next(world, &self.w.cost));
                     }
-                    let cost = self.match_one(world);
-                    return Action::Compute(cost);
+                    self.state = match self.pass.sweep.next(false) {
+                        Some(_) => RState::BigExtract,
+                        None => RState::BigRelease,
+                    };
                 }
                 RState::BigRelease => {
-                    self.state = self.end_of_pass_state(world);
-                    return Action::Unlock(self.wiring.big);
+                    let useful = self.pass.book(&world.spc);
+                    self.state = self.after_pass(useful);
+                    return Action::Unlock(self.w.big);
                 }
                 RState::IdlePoll => {
                     self.state = RState::IdleYield;
-                    return Action::Compute(self.cost.poll_empty_ns);
+                    return Action::Compute(self.w.cost.poll_empty_ns);
                 }
                 RState::IdleYield => {
                     self.state = RState::Idle;
-                    return Action::Sleep(self.backoff_ns());
+                    return Action::Sleep(self.idle.next_ns());
                 }
             }
         }
@@ -1009,29 +1066,64 @@ impl Actor<MrWorld> for Receiver {
 // Offload worker actors
 // ---------------------------------------------------------------------
 
-fn worker_backoff_ns(idle_streak: &mut u32) -> u64 {
-    let ns = 150u64.saturating_mul(1 << (*idle_streak).min(7));
-    *idle_streak += 1;
-    ns.min(20_000)
+/// An offload worker's command intake: a local batch refilled from its
+/// shared command queue, at most `DRAIN_BATCH` commands per visit.
+#[derive(Default)]
+struct Intake<T> {
+    local: VecDeque<T>,
+    /// The last visit found nothing to do: the next refill pays the
+    /// wake-up.
+    was_idle: bool,
+    idle: IdleBackoff,
 }
 
+enum Take<T> {
+    /// The next command to execute.
+    Cmd(T),
+    /// A refill: charge the drain (and the wake-up, if the worker idled).
+    Refill(Action),
+    /// Both the local batch and the shared queue are empty.
+    Empty,
+}
+
+impl<T> Intake<T> {
+    fn take(&mut self, queue: &mut VecDeque<T>, spc: &SpcSet, cost: &CostModel) -> Take<T> {
+        if let Some(cmd) = self.local.pop_front() {
+            return Take::Cmd(cmd);
+        }
+        let popped = queue.len().min(DRAIN_BATCH);
+        if popped == 0 {
+            return Take::Empty;
+        }
+        self.local.extend(queue.drain(..popped));
+        spc.inc(Counter::OffloadBatches);
+        let wake = if self.was_idle {
+            cost.offload_wakeup_ns
+        } else {
+            0
+        };
+        self.was_idle = false;
+        self.idle.reset();
+        Take::Refill(Action::Compute(
+            wake + cost.offload_drain_ns * popped as u64,
+        ))
+    }
+
+    /// Nothing to do: charge an empty poll (a nap follows).
+    fn idle_poll(&mut self, cost: &CostModel) -> Action {
+        self.was_idle = true;
+        Action::Compute(cost.poll_empty_ns)
+    }
+}
+
+#[derive(Clone, Copy)]
 enum WsState {
-    /// Refill the local batch from the command queue (or execute it).
+    /// Take the next command, refilling the local batch as needed.
     Drain,
     /// Nothing queued: nap before polling again.
     IdleSleep,
-    /// Take the dedicated instance lock (uncontended: one worker owns it).
-    Acquire,
-    /// Lock held: charge injection.
-    Inject,
-    /// Ship on the wire.
+    /// Injecting the command's frame (see [`Injection`]).
     Ship,
-    /// Chaos duplicated the frame: post the second copy.
-    ShipDup,
-    /// Chaos dropped the frame: back off, then re-acquire and re-inject.
-    RetryBackoff,
-    /// Release the instance.
-    Release,
 }
 
 /// A dedicated send-side communication thread: batch-drains the command
@@ -1041,144 +1133,59 @@ enum WsState {
 struct SendWorker {
     instance: usize,
     pairs: usize,
-    cost: CostModel,
-    wiring: Wiring,
-    send_locks: Arc<[LockId]>,
+    w: Arc<Wiring>,
     state: WsState,
-    batch: VecDeque<u64>,
-    cur_payload: u64,
-    idle_streak: u32,
-    was_idle: bool,
-    /// Retransmit attempts for the in-hand frame (chaos only).
-    attempt: u32,
+    intake: Intake<u64>,
+    ship: Injection,
 }
 
 impl Actor<MrWorld> for SendWorker {
     fn step(&mut self, _resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
+        let lock = self.w.send_locks[self.instance];
         loop {
             match self.state {
                 WsState::Drain => {
-                    if let Some(p) = self.batch.pop_front() {
-                        self.cur_payload = p;
-                        self.state = WsState::Acquire;
-                        continue;
-                    }
-                    let mut popped = 0u64;
-                    while (popped as usize) < DRAIN_BATCH {
-                        match world.cmd_send.pop_front() {
-                            Some(p) => {
-                                self.batch.push_back(p);
-                                popped += 1;
+                    match self
+                        .intake
+                        .take(&mut world.cmd_send, &world.spc, &self.w.cost)
+                    {
+                        Take::Cmd(payload) => {
+                            self.ship.start(lock, self.instance, payload);
+                            self.state = WsState::Ship;
+                        }
+                        Take::Refill(action) => return action,
+                        Take::Empty => {
+                            if world.senders_done == self.pairs {
+                                return Action::Done;
                             }
-                            None => break,
+                            self.state = WsState::IdleSleep;
+                            return self.intake.idle_poll(&self.w.cost);
                         }
                     }
-                    if popped > 0 {
-                        world.spc.inc(Counter::OffloadBatches);
-                        let wake = if self.was_idle {
-                            self.cost.offload_wakeup_ns
-                        } else {
-                            0
-                        };
-                        self.was_idle = false;
-                        self.idle_streak = 0;
-                        return Action::Compute(wake + self.cost.offload_drain_ns * popped);
-                    }
-                    if world.senders_done == self.pairs {
-                        return Action::Done;
-                    }
-                    self.was_idle = true;
-                    self.state = WsState::IdleSleep;
-                    return Action::Compute(self.cost.poll_empty_ns);
                 }
                 WsState::IdleSleep => {
                     self.state = WsState::Drain;
-                    return Action::Sleep(worker_backoff_ns(&mut self.idle_streak));
+                    return Action::Sleep(self.intake.idle.next_ns());
                 }
-                WsState::Acquire => {
-                    self.state = WsState::Inject;
-                    return Action::Lock(self.send_locks[self.instance]);
-                }
-                WsState::Inject => {
-                    self.state = WsState::Ship;
-                    return Action::Compute(self.cost.injection_time_ns(0, 28));
-                }
-                WsState::Ship => {
-                    // First injection of a unique message counts as sent;
-                    // retransmits don't.
-                    if self.attempt == 0 {
-                        world.spc.inc(Counter::MessagesSent);
-                    }
-                    match world.chaos_ship() {
-                        WireVerdict::Drop => {
-                            self.state = WsState::RetryBackoff;
-                            return Action::Unlock(self.send_locks[self.instance]);
-                        }
-                        verdict => {
-                            let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                            self.attempt = 0;
-                            self.state = if verdict == WireVerdict::Duplicate {
-                                WsState::ShipDup
-                            } else {
-                                WsState::Release
-                            };
-                            return Action::Post {
-                                mailbox: self.instance,
-                                payload: self.cur_payload,
-                                delay_ns: delay,
-                            };
-                        }
-                    }
-                }
-                WsState::ShipDup => {
-                    let delay = self.wiring.wire_latency + world.jitter(self.wiring.jitter);
-                    self.state = WsState::Release;
-                    return Action::Post {
-                        mailbox: self.instance,
-                        payload: self.cur_payload,
-                        delay_ns: delay,
-                    };
-                }
-                WsState::RetryBackoff => {
-                    let backoff = self.cost.retransmit_timeout_ns << self.attempt.min(6);
-                    self.attempt += 1;
-                    world.spc.inc(Counter::Retransmits);
-                    world.spc.add(Counter::RetryBackoffNanos, backoff);
-                    self.state = WsState::Acquire;
-                    return Action::Sleep(backoff);
-                }
-                WsState::Release => {
-                    self.state = WsState::Drain;
-                    return Action::Unlock(self.send_locks[self.instance]);
-                }
+                WsState::Ship => match self.ship.step(world, &self.w) {
+                    Flow::Yield(action) => return action,
+                    Flow::Done(true) => self.state = WsState::Drain,
+                    Flow::Done(false) => self.ship.start(lock, self.instance, self.ship.payload),
+                },
             }
         }
     }
 }
 
+#[derive(Clone, Copy)]
 enum WrState {
-    /// Drain receive-post commands, or run a progress pass, or finish.
+    /// Take the next receive-post command, or run a progress pass, or
+    /// finish.
     Top,
-    /// Acquire the match lock to post one commanded receive.
-    PostLock,
-    /// Holding the match lock: post through the real matcher.
-    PostCharge,
-    /// Release the match lock.
-    PostUnlock,
-    /// Result of an instance try-lock during the progress sweep.
-    ConcTried,
-    /// Holding an instance lock: extract a batch.
-    Extract,
-    /// Release the instance, then match the batch.
-    InstanceUnlock,
-    /// Acquire the match lock for the next drained packet.
-    MatchLock,
-    /// Holding the match lock: deliver through the real matcher.
-    MatchCharge,
-    /// Release the match lock, continue the batch.
-    MatchUnlock,
-    /// Batch finished: advance the sweep or end the pass.
-    NextInstance,
+    /// Posting a commanded receive (see [`Post`]).
+    Post,
+    /// In a progress pass (see [`Pass`]).
+    Pass,
     /// Empty pass: nap before polling again.
     IdleSleep,
 }
@@ -1191,192 +1198,58 @@ enum WrState {
 struct RecvWorker {
     instance: usize,
     total: u64,
-    cost: CostModel,
-    design: SimDesign,
-    wiring: Wiring,
-    recv_locks: Arc<[LockId]>,
-    match_locks: Arc<[LockId]>,
+    w: Arc<Wiring>,
     state: WrState,
-    cmds: VecDeque<usize>,
-    cur_post: usize,
-    sweep: Vec<usize>,
-    sweep_pos: usize,
-    cur_instance: usize,
-    batch: Vec<u64>,
-    batch_pos: usize,
-    got_this_pass: usize,
-    match_wait_from: u64,
-    idle_streak: u32,
-    was_idle: bool,
-}
-
-impl RecvWorker {
-    fn comm_for(&self, id: usize) -> u32 {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => 0,
-            SimMatchLayout::CommPerPair => id as u32,
-        }
-    }
-
-    fn match_lock_for(&self, comm: u32) -> LockId {
-        match self.design.matching {
-            SimMatchLayout::SingleComm => self.match_locks[0],
-            SimMatchLayout::CommPerPair => self.match_locks[comm as usize],
-        }
-    }
+    intake: Intake<usize>,
+    post: Post,
+    pass: Pass,
 }
 
 impl Actor<MrWorld> for RecvWorker {
-    fn step(&mut self, resume: Resume, _now: u64, world: &mut MrWorld) -> Action {
+    fn step(&mut self, resume: Resume, now: u64, world: &mut MrWorld) -> Action {
         loop {
             match self.state {
                 WrState::Top => {
-                    if let Some(id) = self.cmds.pop_front() {
-                        self.cur_post = id;
-                        self.state = WrState::PostLock;
-                        continue;
-                    }
-                    let mut popped = 0u64;
-                    while (popped as usize) < DRAIN_BATCH {
-                        match world.cmd_recv.pop_front() {
-                            Some(id) => {
-                                self.cmds.push_back(id);
-                                popped += 1;
+                    match self
+                        .intake
+                        .take(&mut world.cmd_recv, &world.spc, &self.w.cost)
+                    {
+                        Take::Cmd(id) => {
+                            self.post.start(id, &self.w);
+                            self.state = WrState::Post;
+                        }
+                        Take::Refill(action) => return action,
+                        Take::Empty => {
+                            if world.received >= self.total {
+                                return Action::Done;
                             }
-                            None => break,
+                            // Progress pass: dedicated instance first,
+                            // round-robin fallback over the others
+                            // (Algorithm 2).
+                            world.spc.inc(Counter::ProgressCalls);
+                            self.pass.start(self.w.instances, Plan::From(self.instance));
+                            self.state = WrState::Pass;
                         }
                     }
-                    if popped > 0 {
-                        world.spc.inc(Counter::OffloadBatches);
-                        let wake = if self.was_idle {
-                            self.cost.offload_wakeup_ns
-                        } else {
-                            0
-                        };
-                        self.was_idle = false;
-                        self.idle_streak = 0;
-                        return Action::Compute(wake + self.cost.offload_drain_ns * popped);
-                    }
-                    if world.received >= self.total {
-                        return Action::Done;
-                    }
-                    // Progress pass: dedicated instance first, round-robin
-                    // fallback over the others (Algorithm 2).
-                    world.spc.inc(Counter::ProgressCalls);
-                    self.sweep.clear();
-                    self.sweep_pos = 0;
-                    self.got_this_pass = 0;
-                    for off in 0..self.wiring.instances {
-                        self.sweep
-                            .push((self.instance + off) % self.wiring.instances);
-                    }
-                    self.cur_instance = self.sweep[0];
-                    self.state = WrState::ConcTried;
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
                 }
-                WrState::PostLock => {
-                    self.state = WrState::PostCharge;
-                    self.match_wait_from = _now;
-                    return Action::Lock(self.match_lock_for(self.comm_for(self.cur_post)));
-                }
-                WrState::PostCharge => {
-                    let comm = self.comm_for(self.cur_post);
-                    let recv = PostedRecv {
-                        token: self.cur_post as u64,
-                        comm,
-                        src: 0,
-                        tag: if self.design.any_tag {
-                            ANY_TAG
-                        } else {
-                            self.cur_post as i32
-                        },
-                    };
-                    let idx = world.matcher_index(comm);
-                    let (outcome, work) = world.matchers[idx].post_recv(recv);
-                    if let PostOutcome::Matched(_) = outcome {
-                        world.note_received(self.cur_post);
-                    }
-                    let cost = self.cost.match_time_ns(&work);
-                    world.spc.add(
-                        Counter::MatchTimeNanos,
-                        cost + (_now - self.match_wait_from),
-                    );
-                    self.state = WrState::PostUnlock;
-                    return Action::Compute(cost);
-                }
-                WrState::PostUnlock => {
-                    self.state = WrState::Top;
-                    return Action::Unlock(self.match_lock_for(self.comm_for(self.cur_post)));
-                }
-                WrState::ConcTried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("instance resume must carry a try-lock result");
-                    };
-                    if !got {
-                        world.spc.inc(Counter::InstanceTryLockFailures);
-                        self.state = WrState::NextInstance;
-                        continue;
-                    }
-                    self.state = WrState::Extract;
-                }
-                WrState::Extract => {
-                    self.batch_pos = 0;
-                    let cost = world.extract_into(self.cur_instance, &mut self.batch, &self.cost);
-                    self.state = WrState::InstanceUnlock;
-                    return Action::Compute(cost);
-                }
-                WrState::InstanceUnlock => {
-                    self.state = WrState::MatchLock;
-                    return Action::Unlock(self.recv_locks[self.cur_instance]);
-                }
-                WrState::MatchLock => {
-                    if self.batch_pos >= self.batch.len() {
-                        self.state = WrState::NextInstance;
-                        continue;
-                    }
-                    let comm = payload_comm(self.batch[self.batch_pos]);
-                    self.state = WrState::MatchCharge;
-                    self.match_wait_from = _now;
-                    return Action::Lock(self.match_lock_for(comm));
-                }
-                WrState::MatchCharge => {
-                    let payload = self.batch[self.batch_pos];
-                    self.batch_pos += 1;
-                    let (cost, got) = world.match_deliver(payload, &self.cost);
-                    self.got_this_pass += got;
-                    world
-                        .spc
-                        .add(Counter::MatchTimeNanos, _now - self.match_wait_from);
-                    self.state = WrState::MatchUnlock;
-                    return Action::Compute(cost);
-                }
-                WrState::MatchUnlock => {
-                    let comm = payload_comm(self.batch[self.batch_pos - 1]);
-                    self.state = WrState::MatchLock;
-                    return Action::Unlock(self.match_lock_for(comm));
-                }
-                WrState::NextInstance => {
-                    self.sweep_pos += 1;
-                    let early_stop = self.got_this_pass > 0;
-                    if self.sweep_pos >= self.sweep.len() || early_stop {
-                        if self.got_this_pass == 0 {
-                            world.spc.inc(Counter::ProgressWastedPasses);
-                            self.was_idle = true;
-                            self.state = WrState::IdleSleep;
-                            return Action::Compute(self.cost.poll_empty_ns);
-                        }
-                        world.spc.inc(Counter::ProgressUsefulPasses);
-                        self.idle_streak = 0;
+                WrState::Post => match self.post.step(now, world, &self.w) {
+                    Flow::Yield(action) => return action,
+                    Flow::Done(()) => self.state = WrState::Top,
+                },
+                WrState::Pass => match self.pass.step(resume, now, world, &self.w) {
+                    Flow::Yield(action) => return action,
+                    Flow::Done(true) => {
+                        self.intake.idle.reset();
                         self.state = WrState::Top;
-                        continue;
                     }
-                    self.cur_instance = self.sweep[self.sweep_pos];
-                    self.state = WrState::ConcTried;
-                    return Action::TryLock(self.recv_locks[self.cur_instance]);
-                }
+                    Flow::Done(false) => {
+                        self.state = WrState::IdleSleep;
+                        return self.intake.idle_poll(&self.w.cost);
+                    }
+                },
                 WrState::IdleSleep => {
                     self.state = WrState::Top;
-                    return Action::Sleep(worker_backoff_ns(&mut self.idle_streak));
+                    return Action::Sleep(self.intake.idle.next_ns());
                 }
             }
         }
@@ -1448,7 +1321,6 @@ impl MultirateSim {
             (0..num_comms).map(|_| SendSequencer::new(1)).collect();
 
         let world = MrWorld {
-            design,
             chaos: (design.chaos_drop_pm > 0 || design.chaos_dup_pm > 0).then(|| ChaosWire {
                 rng: XorShift64::new(design.chaos_seed),
                 drop_pm: design.chaos_drop_pm,
@@ -1488,14 +1360,14 @@ impl MultirateSim {
         let mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(bounce_ns, bounce_cap, 3, 2_200);
         let match_mutex = |sim: &mut Sim<MrWorld>| sim.add_lock_full(60, 8, 6, 700);
         let cas = |sim: &mut Sim<MrWorld>| sim.add_lock_with(25, 8);
-        let send_locks: Arc<[LockId]> = (0..instances).map(|_| mutex(&mut sim)).collect();
-        let recv_locks: Arc<[LockId]> = (0..instances).map(|_| mutex(&mut sim)).collect();
-        let match_locks: Arc<[LockId]> = (0..num_comms).map(|_| match_mutex(&mut sim)).collect();
+        let send_locks: Vec<LockId> = (0..instances).map(|_| mutex(&mut sim)).collect();
+        let recv_locks: Vec<LockId> = (0..instances).map(|_| mutex(&mut sim)).collect();
+        let match_locks: Vec<LockId> = (0..num_comms).map(|_| match_mutex(&mut sim)).collect();
         let gate = sim.add_lock();
         let big = mutex(&mut sim);
         let num_pools = if design.process_mode { self.pairs } else { 1 };
-        let send_pools: Arc<[LockId]> = (0..num_pools).map(|_| cas(&mut sim)).collect();
-        let recv_pools: Arc<[LockId]> = (0..num_pools).map(|_| cas(&mut sim)).collect();
+        let send_pools: Vec<LockId> = (0..num_pools).map(|_| cas(&mut sim)).collect();
+        let recv_pools: Vec<LockId> = (0..num_pools).map(|_| cas(&mut sim)).collect();
 
         for (i, &l) in send_locks.iter().enumerate() {
             sim.name_lock(l, &format!("instance[{i}].send"));
@@ -1523,111 +1395,77 @@ impl MultirateSim {
             );
         }
 
-        let wiring = Wiring {
+        let w = Arc::new(Wiring {
+            design,
+            cost,
             instances,
-            wire_latency: cost.wire_latency_ns,
-            jitter: cost.delivery_jitter_ns,
+            send_locks,
+            recv_locks,
+            match_locks,
+            gate,
             big,
             send_pools,
             recv_pools,
-        };
+        });
         let per_pair = (self.window * self.iterations) as u64;
+        let total = per_pair * self.pairs as u64;
 
         for pair in 0..self.pairs {
-            let comm = match design.matching {
-                SimMatchLayout::SingleComm => 0u32,
-                SimMatchLayout::CommPerPair => pair as u32,
-            };
             sim.add_actor_named(
                 &format!("sender[{pair}]"),
                 Box::new(Sender {
                     pair,
-                    comm,
+                    comm: w.comm_of(pair),
                     remaining: per_pair,
                     state: SState::Next,
-                    cost,
-                    design,
-                    wiring: wiring.clone(),
-                    send_locks: Arc::clone(&send_locks),
-                    cur_instance: 0,
-                    cur_payload: 0,
-                    attempt: 0,
+                    w: Arc::clone(&w),
+                    payload: 0,
+                    ship: Injection::default(),
                 }),
             );
             sim.add_actor_named(
                 &format!("recv[{pair}]"),
                 Box::new(Receiver {
                     id: pair,
-                    comm,
-                    tag: pair as i32,
                     window: self.window,
                     iterations: self.iterations,
-                    cost,
-                    design,
-                    wiring: wiring.clone(),
-                    recv_locks: Arc::clone(&recv_locks),
-                    match_locks: Arc::clone(&match_locks),
-                    gate,
+                    w: Arc::clone(&w),
                     state: RState::Idle,
                     posted: 0,
                     wait_target: 0,
-                    sweep: Vec::new(),
-                    sweep_pos: 0,
-                    cur_instance: 0,
-                    batch: Vec::with_capacity(DRAIN_BATCH),
-                    batch_pos: 0,
-                    got_this_pass: 0,
-                    holding_gate: false,
-                    match_wait_from: 0,
-                    idle_streak: 0,
+                    post: Post::default(),
+                    pass: Pass::default(),
+                    idle: IdleBackoff::default(),
                 }),
             );
         }
 
-        for w in 0..design.offload_workers {
+        for worker in 0..design.offload_workers {
             sim.add_actor_named(
-                &format!("offload.send[{w}]"),
+                &format!("offload.send[{worker}]"),
                 Box::new(SendWorker {
-                    instance: w % instances,
+                    instance: worker % instances,
                     pairs: self.pairs,
-                    cost,
-                    wiring: wiring.clone(),
-                    send_locks: Arc::clone(&send_locks),
+                    w: Arc::clone(&w),
                     state: WsState::Drain,
-                    batch: VecDeque::with_capacity(DRAIN_BATCH),
-                    cur_payload: 0,
-                    idle_streak: 0,
-                    was_idle: false,
-                    attempt: 0,
+                    intake: Intake::default(),
+                    ship: Injection::default(),
                 }),
             );
             sim.add_actor_named(
-                &format!("offload.recv[{w}]"),
+                &format!("offload.recv[{worker}]"),
                 Box::new(RecvWorker {
-                    instance: w % instances,
-                    total: per_pair * self.pairs as u64,
-                    cost,
-                    design,
-                    wiring: wiring.clone(),
-                    recv_locks: Arc::clone(&recv_locks),
-                    match_locks: Arc::clone(&match_locks),
+                    instance: worker % instances,
+                    total,
+                    w: Arc::clone(&w),
                     state: WrState::Top,
-                    cmds: VecDeque::with_capacity(DRAIN_BATCH),
-                    cur_post: 0,
-                    sweep: Vec::new(),
-                    sweep_pos: 0,
-                    cur_instance: 0,
-                    batch: Vec::with_capacity(DRAIN_BATCH),
-                    batch_pos: 0,
-                    got_this_pass: 0,
-                    match_wait_from: 0,
-                    idle_streak: 0,
-                    was_idle: false,
+                    intake: Intake::default(),
+                    post: Post::default(),
+                    pass: Pass::default(),
                 }),
             );
         }
 
-        let total = per_pair * self.pairs as u64;
         let max_events = total.saturating_mul(400) + 20_000_000;
         let makespan = sim.run(max_events);
         MultirateResult {

@@ -15,7 +15,7 @@ use fairmpi_spc::{Counter, SpcSet, SpcSnapshot};
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{SimAssignment, SimProgress};
+use crate::workload::{IdleBackoff, Plan, SimAssignment, SimProgress, Sweep};
 
 /// An RMA-MT experiment (one message size).
 #[derive(Debug, Clone)]
@@ -87,8 +87,6 @@ enum PState {
     Flush,
     /// Serial flush: gate try-lock result.
     GateTried,
-    /// Serial flush: block-lock the next instance.
-    SerialLockInstance,
     /// Concurrent flush: instance try-lock result.
     ConcTried,
     /// Holding an instance: drain a batch of completions.
@@ -117,23 +115,15 @@ struct Putter {
     gate: LockId,
     wire_latency: u64,
     cur_instance: usize,
-    sweep: Vec<usize>,
-    sweep_pos: usize,
+    sweep: Sweep,
     drained_this_pass: usize,
-    batch: usize,
     holding_gate: bool,
-    idle_streak: u32,
+    idle: IdleBackoff,
 }
 
 impl Putter {
-    fn pick_instance(&mut self, world: &mut RmaWorld) -> usize {
-        match self.assignment {
-            SimAssignment::Dedicated => self.id % self.instances,
-            SimAssignment::RoundRobin => {
-                world.rr += 1;
-                (world.rr - 1) as usize % self.instances
-            }
-        }
+    fn pick_instance(&self, world: &mut RmaWorld) -> usize {
+        self.assignment.pick(self.id, self.instances, &mut world.rr)
     }
 
     /// Whether this thread's completions can only live on its own
@@ -142,23 +132,19 @@ impl Putter {
         matches!(self.assignment, SimAssignment::Dedicated)
     }
 
+    /// Plan a flush pass and put the cursor on its first instance.
     fn plan_sweep(&mut self, world: &mut RmaWorld, all: bool) {
-        self.sweep.clear();
-        self.sweep_pos = 0;
         self.drained_this_pass = 0;
-        if self.flush_is_local() {
+        let plan = if self.flush_is_local() {
             // Local flush: only the dedicated instance holds our CQEs.
-            self.sweep.push(self.id % self.instances);
-            return;
-        }
-        if all {
-            self.sweep.extend(0..self.instances);
-            return;
-        }
-        let first = self.pick_instance(world);
-        for off in 0..self.instances {
-            self.sweep.push((first + off) % self.instances);
-        }
+            Plan::Only(self.id % self.instances)
+        } else if all {
+            Plan::All
+        } else {
+            Plan::From(self.pick_instance(world))
+        };
+        self.sweep.plan(self.instances, plan);
+        self.cur_instance = self.sweep.current();
     }
 
     /// Pop completions from the held instance; returns extraction cost.
@@ -173,7 +159,6 @@ impl Putter {
                 None => break,
             }
         }
-        self.batch = n;
         self.drained_this_pass += n;
         world.spc.add(Counter::CompletionsDrained, n as u64);
         self.cost.cqe_drain_ns * n as u64
@@ -226,7 +211,6 @@ impl Actor<RmaWorld> for Putter {
                     // progress for one-sided traffic).
                     if self.flush_is_local() {
                         self.plan_sweep(world, false);
-                        self.cur_instance = self.sweep[0];
                         self.state = PState::ConcTried;
                         return Action::TryLock(self.inst_locks[self.cur_instance]);
                     }
@@ -240,7 +224,6 @@ impl Actor<RmaWorld> for Putter {
                         }
                         SimProgress::Concurrent => {
                             self.plan_sweep(world, false);
-                            self.cur_instance = self.sweep[0];
                             self.state = PState::ConcTried;
                             return Action::TryLock(self.inst_locks[self.cur_instance]);
                         }
@@ -254,16 +237,9 @@ impl Actor<RmaWorld> for Putter {
                         self.state = PState::IdlePoll;
                         continue;
                     }
+                    // The gate holder blocks on each instance in turn.
                     self.holding_gate = true;
                     self.plan_sweep(world, true);
-                    self.state = PState::SerialLockInstance;
-                }
-                PState::SerialLockInstance => {
-                    if self.sweep_pos >= self.sweep.len() {
-                        self.state = PState::ReleaseGate;
-                        continue;
-                    }
-                    self.cur_instance = self.sweep[self.sweep_pos];
                     self.state = PState::Drain;
                     return Action::Lock(self.inst_locks[self.cur_instance]);
                 }
@@ -288,21 +264,17 @@ impl Actor<RmaWorld> for Putter {
                     return Action::Unlock(self.inst_locks[self.cur_instance]);
                 }
                 PState::NextInstance => {
-                    self.sweep_pos += 1;
-                    let early_stop = !self.holding_gate && self.drained_this_pass > 0;
-                    if self.sweep_pos >= self.sweep.len() || early_stop {
-                        if self.holding_gate {
-                            self.state = PState::ReleaseGate;
+                    let Some(next) = self.sweep.next(self.drained_this_pass > 0) else {
+                        self.state = if self.holding_gate {
+                            PState::ReleaseGate
+                        } else if self.drained_this_pass == 0 {
+                            PState::IdlePoll
                         } else {
-                            self.state = if self.drained_this_pass == 0 {
-                                PState::IdlePoll
-                            } else {
-                                PState::Flush
-                            };
-                        }
+                            PState::Flush
+                        };
                         continue;
-                    }
-                    self.cur_instance = self.sweep[self.sweep_pos];
+                    };
+                    self.cur_instance = next;
                     if self.holding_gate {
                         self.state = PState::Drain;
                         return Action::Lock(self.inst_locks[self.cur_instance]);
@@ -325,9 +297,7 @@ impl Actor<RmaWorld> for Putter {
                 }
                 PState::IdleYield => {
                     self.state = PState::Flush;
-                    let ns = 150u64.saturating_mul(1 << self.idle_streak.min(7));
-                    self.idle_streak += 1;
-                    return Action::Sleep(ns.min(20_000));
+                    return Action::Sleep(self.idle.next_ns());
                 }
             }
         }
@@ -375,12 +345,10 @@ impl RmamtSim {
                 gate,
                 wire_latency: cost.wire_latency_ns,
                 cur_instance: 0,
-                sweep: Vec::new(),
-                sweep_pos: 0,
+                sweep: Sweep::default(),
                 drained_this_pass: 0,
-                batch: 0,
                 holding_gate: false,
-                idle_streak: 0,
+                idle: IdleBackoff::default(),
             }));
         }
 

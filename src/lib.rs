@@ -6,8 +6,8 @@
 //!
 //! * [`fairmpi`] — the MPI-like runtime (the paper's proposed design and
 //!   every baseline design axis),
-//! * [`fairmpi_multirate`] / [`fairmpi_rmamt`] — the paper's two
-//!   benchmarks, with native and virtual-time backends,
+//! * [`fairmpi_multirate`] — the Multirate benchmark, one configuration
+//!   on both the native runtime and the virtual-time executor,
 //! * [`fairmpi_vsim`] — the deterministic virtual-time executor behind the
 //!   figure harnesses,
 //! * [`fairmpi_spc`] / [`fairmpi_fabric`] / [`fairmpi_matching`] /
@@ -22,6 +22,5 @@ pub use fairmpi_fabric;
 pub use fairmpi_matching;
 pub use fairmpi_multirate;
 pub use fairmpi_progress;
-pub use fairmpi_rmamt;
 pub use fairmpi_spc;
 pub use fairmpi_vsim;

@@ -36,20 +36,40 @@ fn put_get_round_trip_between_ranks() {
     }
 }
 
+/// Inputs: one origin thread on the default design, and three origin
+/// threads on the proposed design putting to disjoint regions of one
+/// window and flushing concurrently.
 #[test]
 fn flush_waits_for_all_pending_ops() {
-    let world = World::builder().ranks(2).build();
-    let id = world.allocate_window(8 * 256);
-    let w = world.proc(0).window(id).unwrap();
-    for i in 0..256usize {
-        w.put(1, i * 8, &(i as u64).to_le_bytes()).unwrap();
-    }
-    w.flush(1).unwrap();
-    assert_eq!(w.pending_toward(1), 0);
-    let w1 = world.proc(1).window(id).unwrap();
-    for i in 0..256usize {
-        let v = u64::from_le_bytes(w1.read_local(i * 8, 8).unwrap().try_into().unwrap());
-        assert_eq!(v, i as u64);
+    const PUTS: usize = 256;
+    for (threads, design) in [
+        (1, DesignConfig::default()),
+        (3, DesignConfig::builder().proposed(3).build().unwrap()),
+    ] {
+        let world = World::builder().ranks(2).design(design).build();
+        let id = world.allocate_window(8 * PUTS * threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let world = &world;
+                scope.spawn(move || {
+                    let w = world.proc(0).window(id).unwrap();
+                    for i in t * PUTS..(t + 1) * PUTS {
+                        w.put(1, i * 8, &(i as u64).to_le_bytes()).unwrap();
+                    }
+                    w.flush(1).unwrap();
+                });
+            }
+        });
+        let w = world.proc(0).window(id).unwrap();
+        assert_eq!(w.pending_toward(1), 0);
+        let w1 = world.proc(1).window(id).unwrap();
+        for i in 0..PUTS * threads {
+            let v = u64::from_le_bytes(w1.read_local(i * 8, 8).unwrap().try_into().unwrap());
+            assert_eq!(v, i as u64);
+        }
+        let spc = world.proc(0).spc_snapshot();
+        assert_eq!(spc[Counter::RmaPuts], (PUTS * threads) as u64);
+        assert_eq!(spc[Counter::RmaFlushes], threads as u64);
     }
 }
 

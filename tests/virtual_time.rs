@@ -227,3 +227,117 @@ fn native_and_virtual_backends_agree_on_semantics() {
     assert_eq!(native.spc[Counter::MessagesReceived], native.total_messages);
     assert_eq!(virt.spc[Counter::MessagesReceived], virt.total_messages);
 }
+
+/// Exact figures for small runs of every simulated actor path: the
+/// application actors under each design axis, the offload workers with
+/// and without a lossy wire, and the RMA-MT flush sweeps. Every run is
+/// deterministic, so a reordered `Action`, a moved RNG draw or a changed
+/// SPC update in any simulated phase moves at least one of these numbers.
+/// Columns: makespan ns, messages received, out-of-sequence messages,
+/// match-time ns.
+#[test]
+fn golden_values_pin_every_actor_path() {
+    let three = |assignment, progress| SimDesign {
+        instances: 3,
+        assignment,
+        progress,
+        ..SimDesign::baseline()
+    };
+    let dedicated_concurrent = three(SimAssignment::Dedicated, SimProgress::Concurrent);
+    let rr_concurrent_per_pair = SimDesign {
+        matching: SimMatchLayout::CommPerPair,
+        ..three(SimAssignment::RoundRobin, SimProgress::Concurrent)
+    };
+    let serial = three(SimAssignment::RoundRobin, SimProgress::Serial);
+    let overtaking = SimDesign {
+        allow_overtaking: true,
+        any_tag: true,
+        ..three(SimAssignment::Dedicated, SimProgress::Serial)
+    };
+    let big_lock = SimDesign {
+        big_lock: true,
+        ..SimDesign::baseline()
+    };
+    let lossy = SimDesign {
+        instances: 2,
+        ..dedicated_concurrent
+    }
+    .chaos(100, 50, 5);
+    let cases = [
+        ("baseline", SimDesign::baseline()),
+        ("dedicated concurrent x3", dedicated_concurrent),
+        ("round-robin concurrent x3 per-pair", rr_concurrent_per_pair),
+        ("serial x3", serial),
+        ("overtaking any-tag x3", overtaking),
+        ("big lock", big_lock),
+        ("process mode", SimDesign::process_mode()),
+        ("lossy dedicated concurrent x2", lossy),
+        ("offload 2", SimDesign::offload(2)),
+        ("offload 2 lossy", SimDesign::offload(2).chaos(100, 50, 13)),
+    ];
+    let got: Vec<(&str, u64, u64, u64, u64)> = cases
+        .iter()
+        .map(|&(name, design)| {
+            let r = multirate(4, design);
+            (
+                name,
+                r.makespan_ns,
+                r.spc[Counter::MessagesReceived],
+                r.spc[Counter::OutOfSequenceMessages],
+                r.spc[Counter::MatchTimeNanos],
+            )
+        })
+        .collect();
+    let expected: Vec<(&str, u64, u64, u64, u64)> = vec![
+        ("baseline", 589_653, 768, 504, 372_662),
+        ("dedicated concurrent x3", 438_239, 768, 454, 1_222_526),
+        (
+            "round-robin concurrent x3 per-pair",
+            213_972,
+            768,
+            491,
+            350_971,
+        ),
+        ("serial x3", 581_380, 768, 499, 420_678),
+        ("overtaking any-tag x3", 401_575, 768, 0, 213_408),
+        ("big lock", 4_944_324, 768, 529, 18_065_030),
+        ("process mode", 159_969, 768, 0, 193_536),
+        (
+            "lossy dedicated concurrent x2",
+            474_566,
+            768,
+            547,
+            1_289_020,
+        ),
+        ("offload 2", 298_700, 768, 278, 296_777),
+        ("offload 2 lossy", 472_220, 768, 370, 314_184),
+    ];
+    assert_eq!(got, expected);
+
+    // RMA-MT: makespan ns, puts, flushes.
+    let rma = |assignment, progress| {
+        let r = RmamtSim {
+            machine: Machine::preset(MachinePreset::TrinititeHaswell),
+            threads: 6,
+            msg_size: 8,
+            ops_per_thread: 50,
+            instances: 4,
+            assignment,
+            progress,
+            seed: 3,
+        }
+        .run();
+        (
+            r.makespan_ns,
+            r.spc[Counter::RmaPuts],
+            r.spc[Counter::RmaFlushes],
+        )
+    };
+    let got_rma = vec![
+        rma(SimAssignment::RoundRobin, SimProgress::Serial),
+        rma(SimAssignment::RoundRobin, SimProgress::Concurrent),
+        rma(SimAssignment::Dedicated, SimProgress::Serial),
+    ];
+    let expected_rma = vec![(37_770, 300, 6), (30_429, 300, 6), (41_755, 300, 6)];
+    assert_eq!(got_rma, expected_rma);
+}

@@ -25,11 +25,12 @@ cargo build --offline -p fairmpi-bench --no-default-features
 echo "== test =="
 cargo test -q --workspace --offline
 
-echo "== test (release build: batched matching, retirement, request slots, rx ring) =="
+echo "== test (release build: batched matching, retirement, request slots, rx ring, SPC shards) =="
 # The batched drain-to-match path, the per-run retirement of one-sided
-# completions, the request table's tag and shift arithmetic and the rx
-# ring's spill hand-off, built as the benchmark runs them: with
-# optimisations and without overflow checks or debug assertions. Batch
+# completions, the request table's tag and shift arithmetic, the rx
+# ring's spill hand-off and the SPC shards' unlocked load-and-store
+# updates, built as the benchmark runs them: with optimisations and
+# without overflow checks or debug assertions. Batch
 # sizes do not depend on the build: in debug and release alike about 82 %
 # of the two-sided suite's packets reach the matcher in batches of more
 # than one.
@@ -38,6 +39,7 @@ cargo test -q --release --offline --test rma
 cargo test -q --release --offline -p fairmpi-matching batch_equivalence
 cargo test -q --release --offline -p fairmpi --lib request
 cargo test -q --release --offline -p fairmpi-fabric
+cargo test -q --release --offline -p fairmpi-spc
 
 echo "== test (trace crate, enabled) =="
 cargo test -q --offline -p fairmpi-trace --features enabled
@@ -66,9 +68,13 @@ cargo fmt --all --check
 
 echo "== clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
+# The workspace-wide run unifies fairmpi-bench's default `trace` feature,
+# which turns `fairmpi-sync/traced` on everywhere; lint the crates below
+# it once more on the native backend they build with on their own.
+cargo clippy -p fairmpi-sync -p fairmpi-spc -p fairmpi-vsim --all-targets --offline -- -D warnings
 
 echo "== doc =="
-cargo doc --no-deps --workspace --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "== pvar smoke test =="
 # Tiny grid: the flagship observed run must produce a well-formed,

@@ -52,6 +52,7 @@ mod design;
 pub mod env;
 mod error;
 mod handler;
+mod match_time;
 mod offload;
 mod p2p;
 mod proc;

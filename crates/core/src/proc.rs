@@ -12,6 +12,7 @@ use fairmpi_spc::{Counter, SpcSet, SpcSnapshot};
 use crate::comm::CommState;
 use crate::design::{DesignConfig, LockModel, MatchMode};
 use crate::error::{MpiError, Result};
+use crate::match_time;
 use crate::offload::OffloadRuntime;
 use crate::reliability::{Reliability, Watchdog};
 use crate::request::RequestTable;
@@ -209,23 +210,18 @@ impl ProcState {
     /// [`with_matcher`](Self::with_matcher) for a communicator already
     /// checked (a packet's sender checked it; `irecv` checked a receive it
     /// queued to offload), so Global mode skips the lookup. One call is one
-    /// timed hold, however many packets `f` delivers: a clock read costs as
-    /// much as a counter update several times over.
+    /// hold, however many packets `f` delivers, and the match-time counter
+    /// is a sampled estimate: a clock pair costs more than a short hold, so
+    /// only one hold in several is timed (see [`crate::match_time`]).
     pub(crate) fn with_matcher_unchecked<R>(
         &self,
         comm: CommId,
         f: impl FnOnce(&mut Matcher) -> R,
     ) -> Result<R> {
-        let timer = fairmpi_spc::ScopedTimer::new(&self.spc, Counter::MatchTimeNanos);
-        let result = match self.design.matching {
-            MatchMode::Global => {
-                let mut m = self.global_matcher.lock();
-                f(&mut m)
-            }
-            MatchMode::PerCommunicator => self.with_comm(comm, |cs| f(&mut cs.matcher.lock()))?,
-        };
-        drop(timer);
-        Ok(result)
+        match_time::sampled(&self.spc, || match self.design.matching {
+            MatchMode::Global => Ok(f(&mut self.global_matcher.lock())),
+            MatchMode::PerCommunicator => self.with_comm(comm, |cs| f(&mut cs.matcher.lock())),
+        })
     }
 
     /// The offload runtime, while it still accepts commands. `None` both

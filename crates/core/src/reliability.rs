@@ -53,7 +53,7 @@ struct SendChannel {
 ///
 /// Public so `fairmpi-check` can model-check the suppression logic under
 /// racing deliveries — the runtime itself only uses it behind a
-/// [`Mutex`] inside [`Reliability`].
+/// [`Mutex`] in its private reliability layer.
 #[derive(Debug, Default)]
 pub struct DedupWindow {
     /// Every tseq in `1..=floor` has been accepted.

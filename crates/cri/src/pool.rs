@@ -111,10 +111,15 @@ impl CriPool {
         &self.spc
     }
 
-    /// Algorithm 1 `GET-INSTANCE-ID–ROUND-ROBIN`.
+    /// Algorithm 1 `GET-INSTANCE-ID–ROUND-ROBIN`. A one-instance pool (the
+    /// original design) has nothing to choose, so it skips the shared
+    /// rotation counter.
     pub fn round_robin_id(&self) -> usize {
         self.spc.inc(Counter::CriRoundRobinAssignments);
-        self.round_robin.fetch_add(1, Ordering::Relaxed) % self.instances.len()
+        match self.instances.len() {
+            1 => 0,
+            n => self.round_robin.fetch_add(1, Ordering::Relaxed) % n,
+        }
     }
 
     /// Algorithm 1 `GET-INSTANCE-ID–DEDICATED`.

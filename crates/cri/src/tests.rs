@@ -17,6 +17,14 @@ fn round_robin_cycles_through_instances() {
     let p = pool(3);
     let ids: Vec<usize> = (0..7).map(|_| p.round_robin_id()).collect();
     assert_eq!(ids, vec![0, 1, 2, 0, 1, 2, 0]);
+    assert_eq!(p.spc().get(Counter::CriRoundRobinAssignments), 7);
+}
+
+#[test]
+fn one_instance_round_robin_still_counts_each_pick() {
+    let p = pool(1);
+    assert!((0..5).all(|_| p.round_robin_id() == 0));
+    assert_eq!(p.spc().get(Counter::CriRoundRobinAssignments), 5);
 }
 
 #[test]

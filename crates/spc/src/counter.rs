@@ -28,6 +28,8 @@ pub enum Counter {
     OutOfSequenceMessages,
     /// Total virtual/real nanoseconds spent inside the matching critical
     /// section (OMPI: `OMPI_SPC_MATCH_TIME`, reported in ms in Table II).
+    /// Exact under virtual time; on real threads a sampled estimate (the
+    /// runtime times one hold in several and scales it up).
     MatchTimeNanos,
     /// Messages that arrived before a matching receive was posted
     /// (OMPI: `OMPI_SPC_UNEXPECTED`).

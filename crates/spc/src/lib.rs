@@ -8,8 +8,16 @@
 //! so on. The paper's Table II is produced entirely from two of these
 //! counters (`OutOfSequenceMessages` and `MatchTime`).
 //!
-//! Counters are cache-line padded relaxed atomics so that updating them from
-//! many threads never introduces the very contention the study measures.
+//! The probes must not perturb what they measure, so an update shares
+//! nothing with other threads. Each thread that updates a set writes its
+//! own cache-aligned shard of the set's counters with a relaxed load and
+//! store: no lock prefix, no cache line bounced between threads. Reads
+//! ([`SpcSet::get`], [`SpcSet::snapshot`]) sum the shards, and
+//! [`SpcSet::reset`] records a baseline instead of writing other threads'
+//! shards. High-water-mark counters and [`Watermark`]s are shared slots
+//! updated load-first, so an observation that moves nothing writes
+//! nothing; [`Histogram`]s are shared cells. See [`SpcSet`] for the layout
+//! and the reset contract.
 //!
 //! # Example
 //!
@@ -27,8 +35,8 @@
 mod counter;
 mod histogram;
 mod set;
+mod shard;
 mod snapshot;
-mod timer;
 mod watermark;
 
 pub use counter::Counter;
@@ -37,7 +45,6 @@ pub use histogram::{
 };
 pub use set::SpcSet;
 pub use snapshot::SpcSnapshot;
-pub use timer::ScopedTimer;
 pub use watermark::{Watermark, WatermarkCell};
 
 #[cfg(test)]

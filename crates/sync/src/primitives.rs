@@ -30,8 +30,14 @@ struct TraceName {
 struct TraceName;
 
 impl TraceName {
+    #[cfg(feature = "traced")]
     fn anon() -> Self {
         Self::default()
+    }
+
+    #[cfg(not(feature = "traced"))]
+    fn anon() -> Self {
+        Self
     }
 
     #[cfg(feature = "traced")]

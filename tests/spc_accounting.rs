@@ -238,3 +238,45 @@ fn batched_matching_counts_every_packet_once() {
         assert!(spc.get(Counter::MatchTimeNanos) > 0);
     }
 }
+
+/// Four application threads of one rank send at once: each thread counts
+/// into its own shard of the rank's set, and the sums are exact. On the
+/// one-instance pool every send still counts its round-robin pick.
+#[test]
+fn four_sending_threads_of_one_rank_count_exactly() {
+    const THREADS: u32 = 4;
+    const MSGS: u32 = 500;
+    for (design, one_instance) in [
+        (DesignConfig::default(), true),
+        (DesignConfig::builder().proposed(2).build().unwrap(), false),
+    ] {
+        let world = World::builder().ranks(2).design(design).build();
+        let comm = world.comm_world();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (p0, p1) = (world.proc(0), world.proc(1));
+                s.spawn(move || {
+                    let reqs: Vec<_> = (0..MSGS)
+                        .map(|_| p0.isend(&[], 1, t as i32, comm).unwrap())
+                        .collect();
+                    p0.waitall(&reqs).unwrap();
+                });
+                s.spawn(move || {
+                    for _ in 0..MSGS {
+                        p1.recv(0, 0, t as i32, comm).unwrap();
+                    }
+                });
+            }
+        });
+        let sender = world.proc(0).spc_snapshot();
+        let sends = u64::from(THREADS * MSGS);
+        assert_eq!(sender[Counter::MessagesSent], sends, "{design:?}");
+        assert_eq!(sender[Counter::EagerSends], sends, "{design:?}");
+        assert_eq!(sender[Counter::BytesSent], 28 * sends, "{design:?}");
+        if one_instance {
+            assert_eq!(sender[Counter::CriRoundRobinAssignments], sends);
+        }
+        let receiver = world.proc(1).spc_snapshot();
+        assert_eq!(receiver[Counter::MessagesReceived], sends, "{design:?}");
+    }
+}

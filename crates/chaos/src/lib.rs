@@ -1,12 +1,13 @@
-//! Deterministic fault injection for the fairmpi fabric.
+//! Deterministic fault injection for the fairmpi fabric, and the
+//! workspace's seeded generators.
 //!
 //! A [`FaultPlan`] is a small, copyable description of what should go wrong:
 //! per-mille probabilities for packet drop / duplication / reordering /
 //! delay, a probability of transient injection refusal (the software analog
 //! of CQ-full / `ENOBUFS`), and an optional permanent context death. Plans
-//! are seeded and the randomness is a hand-rolled xorshift, so a given plan
-//! replays the same fault schedule every run — chaos tests are ordinary
-//! deterministic tests.
+//! are seeded and their draws come from [`rng::XorShift64`], so a given
+//! plan replays the same fault schedule every run — chaos tests are
+//! ordinary deterministic tests.
 //!
 //! The plan itself is policy; the [`ChaosEngine`] is the mechanism. The
 //! fabric owns one engine per world and consults it at the two boundaries
@@ -15,51 +16,20 @@
 //! trigger). Everything above the fabric — retransmission, failover,
 //! watchdogs — reacts to the injected faults exactly as it would to real
 //! ones.
+//!
+//! The [`rng`] module owns every random stream in the workspace: the
+//! xoshiro256\*\* generator behind the simulator and the property tests,
+//! and the xorshift64 behind the fault schedules. Both stay because
+//! committed results replay their exact draws (see the module doc). This
+//! crate holds them because it is the lowest one every consumer reaches.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+pub mod rng;
+
+use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use rng::XorShift64;
 
 /// Per-mille denominator used by every probability knob.
 pub const PM_SCALE: u16 = 1000;
-
-/// A tiny xorshift64 PRNG: deterministic, dependency-free, and good enough
-/// to schedule faults (we need reproducibility, not statistical quality).
-#[derive(Debug, Clone)]
-pub struct XorShift64 {
-    state: u64,
-}
-
-impl XorShift64 {
-    /// Seed the generator; a zero seed is remapped (xorshift has a zero
-    /// fixed point).
-    pub fn new(seed: u64) -> Self {
-        Self {
-            state: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
-        }
-    }
-
-    /// Next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = step(self.state);
-        self.state
-    }
-
-    /// A draw uniform over `0..PM_SCALE`, for per-mille comparisons.
-    pub fn draw_pm(&mut self) -> u16 {
-        (self.next_u64() % u64::from(PM_SCALE)) as u16
-    }
-}
-
-/// One xorshift64 step (Marsaglia's 13/7/17 triple).
-fn step(mut s: u64) -> u64 {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    s
-}
 
 /// Permanent death of one network context: after the fabric has observed
 /// `after` sends, context `context` of rank `rank` stops accepting traffic
@@ -218,7 +188,9 @@ pub enum Delivery {
 /// threads: on the single-threaded vsim path the schedule is exactly
 /// reproducible; on the native path the *set* of faults drawn is seeded but
 /// their assignment to packets depends on thread interleaving, which is the
-/// point — the recovery machinery must cope with any assignment.
+/// point — the recovery machinery must cope with any assignment. The
+/// atomics are `fairmpi_sync`'s, so under the model checker every draw and
+/// every observed send is a scheduling decision point.
 #[derive(Debug)]
 pub struct ChaosEngine {
     plan: FaultPlan,
@@ -232,11 +204,7 @@ impl ChaosEngine {
     pub fn new(plan: FaultPlan) -> Self {
         Self {
             plan,
-            state: AtomicU64::new(if plan.seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                plan.seed
-            }),
+            state: AtomicU64::new(XorShift64::new(plan.seed).state),
             observed: AtomicU64::new(0),
             kill_fired: AtomicBool::new(false),
         }
@@ -251,10 +219,10 @@ impl ChaosEngine {
     fn draw_pm(&self) -> u16 {
         let next = self
             .state
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(step(s)))
-            .map(step)
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| Some(rng::step(s)))
+            .map(rng::step)
             .expect("fetch_update with Some never fails");
-        (next % u64::from(PM_SCALE)) as u16
+        rng::per_mille(next)
     }
 
     /// Should this injection attempt be transiently refused (CQ-full)?
@@ -299,39 +267,6 @@ impl ChaosEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn xorshift_is_deterministic_and_nonzero() {
-        let mut a = XorShift64::new(42);
-        let mut b = XorShift64::new(42);
-        for _ in 0..1000 {
-            let v = a.next_u64();
-            assert_eq!(v, b.next_u64());
-            assert_ne!(v, 0, "xorshift must never reach the zero fixed point");
-        }
-        assert_ne!(
-            XorShift64::new(0).next_u64(),
-            0,
-            "zero seed must be remapped"
-        );
-    }
-
-    #[test]
-    fn draws_cover_the_pm_range() {
-        let mut rng = XorShift64::new(7);
-        let mut lo = u16::MAX;
-        let mut hi = 0;
-        for _ in 0..10_000 {
-            let d = rng.draw_pm();
-            assert!(d < PM_SCALE);
-            lo = lo.min(d);
-            hi = hi.max(d);
-        }
-        assert!(
-            lo < 50 && hi >= 950,
-            "draws should span 0..1000: {lo}..{hi}"
-        );
-    }
 
     #[test]
     fn default_plan_is_inert() {

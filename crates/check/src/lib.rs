@@ -26,7 +26,9 @@
 //!   through its tagged free stack, one of them in the ABA shape,
 //! * a real network context's rx ring: wire posts racing the owner's
 //!   batch drain, and on a 2-slot ring the hand-off of spilled packets,
-//!   which must keep every producer's packets in order.
+//!   which must keep every producer's packets in order,
+//! * the real `fairmpi_chaos::ChaosEngine`: racing senders share its one
+//!   fault stream (no draw repeated or skipped) and its kill fires once.
 //!
 //! The [`mutants`] module carries deliberately-broken variants of each
 //! algorithm; the test suite asserts the checker produces a reproducible

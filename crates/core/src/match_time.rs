@@ -9,26 +9,27 @@
 //! and time only one kind of hold. A thread's first hold is always timed,
 //! so any run that matches records nonzero time.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use fairmpi_chaos::rng::Xoshiro256;
 use fairmpi_spc::{Counter, SpcSet};
 
 /// Mean number of holds per timed hold.
 const MEAN_GAP: u32 = 16;
 
 /// One thread's choice of which holds to time.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 struct Sampler {
     /// Holds left to skip before the next timed one.
     skip: u32,
-    /// xorshift32 state; 0 until the thread's first hold seeds it.
-    rng: u32,
+    /// Gap generator; `None` until the thread's first hold seeds it.
+    rng: Option<Xoshiro256>,
 }
 
 impl Sampler {
-    const NEW: Self = Self { skip: 0, rng: 0 };
+    const NEW: Self = Self { skip: 0, rng: None };
 
     /// Whether to time the next hold.
     #[inline]
@@ -37,40 +38,27 @@ impl Sampler {
             self.skip -= 1;
             return false;
         }
-        if self.rng == 0 {
-            self.rng = seed();
-        }
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 17;
-        self.rng ^= self.rng << 5;
-        // A gap uniform in 1..=2·MEAN_GAP−1 has mean MEAN_GAP.
-        let gap = 1 + ((u64::from(self.rng) * u64::from(2 * MEAN_GAP - 1)) >> 32) as u32;
-        self.skip = gap - 1;
+        let rng = self.rng.get_or_insert_with(|| {
+            // A distinct seed for each thread.
+            static THREADS: AtomicU64 = AtomicU64::new(0);
+            Xoshiro256::seed_from_u64(THREADS.fetch_add(1, Ordering::Relaxed))
+        });
+        // Skipping 0..2·MEAN_GAP−1 holds makes the gap uniform in
+        // 1..=2·MEAN_GAP−1, which has mean MEAN_GAP.
+        self.skip = rng.below(u64::from(2 * MEAN_GAP - 1)) as u32;
         true
     }
 }
 
-/// A distinct nonzero xorshift seed for each thread.
-fn seed() -> u32 {
-    static THREADS: AtomicU32 = AtomicU32::new(0);
-    let n = THREADS.fetch_add(1, Ordering::Relaxed);
-    n.wrapping_mul(0x9E37_79B9).rotate_left(16) | 1
-}
-
 thread_local! {
-    static SAMPLER: Cell<Sampler> = const { Cell::new(Sampler::NEW) };
+    static SAMPLER: RefCell<Sampler> = const { RefCell::new(Sampler::NEW) };
 }
 
 /// Run `hold`, timing it if this thread's sampler picks it, and charge
 /// the estimate to `match_time_ns`.
 #[inline]
 pub(crate) fn sampled<R>(spc: &SpcSet, hold: impl FnOnce() -> R) -> R {
-    let timed = SAMPLER.with(|s| {
-        let mut sampler = s.get();
-        let timed = sampler.take();
-        s.set(sampler);
-        timed
-    });
+    let timed = SAMPLER.with_borrow_mut(Sampler::take);
     if !timed {
         return hold();
     }

@@ -4,9 +4,7 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
+use fairmpi_chaos::rng::Xoshiro256;
 use fairmpi_fabric::{Envelope, Fabric, FabricConfig, MachineKind, Packet};
 
 fn packet(dst: u32, seq: u64) -> Packet {
@@ -47,10 +45,10 @@ fn routing_is_total_and_deterministic() {
 #[test]
 fn cost_model_is_monotone() {
     let cfg = FabricConfig::default();
-    let mut rng = SmallRng::seed_from_u64(0xC057);
+    let mut rng = Xoshiro256::seed_from_u64(0xC057);
     for _ in 0..512 {
-        let len_a = rng.gen_range(0usize..1_000_000);
-        let len_b = rng.gen_range(0usize..1_000_000);
+        let len_a = rng.below(1_000_000) as usize;
+        let len_b = rng.below(1_000_000) as usize;
         let (lo, hi) = if len_a <= len_b {
             (len_a, len_b)
         } else {
@@ -64,10 +62,10 @@ fn cost_model_is_monotone() {
 /// Context clamping respects the hardware cap and never returns zero.
 #[test]
 fn context_clamp_invariants() {
-    let mut rng = SmallRng::seed_from_u64(0xC1A9);
+    let mut rng = Xoshiro256::seed_from_u64(0xC1A9);
     for _ in 0..512 {
-        let requested = rng.gen_range(0usize..10_000);
-        let cap = rng.gen_range(1usize..300);
+        let requested = rng.below(10_000) as usize;
+        let cap = 1 + rng.below(299) as usize;
         let mut cfg = FabricConfig::test_default();
         cfg.max_contexts = Some(cap);
         let granted = cfg.clamp_contexts(requested);
@@ -82,9 +80,9 @@ fn context_clamp_invariants() {
 #[test]
 fn rx_ring_fifo_under_interleaved_drain() {
     for seed in 0..32u64 {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0xF1F0);
-        let n_ops = rng.gen_range(1usize..80);
-        let ops: Vec<bool> = (0..n_ops).map(|_| rng.gen_range(0u64..2) == 1).collect();
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xF1F0);
+        let n_ops = 1 + rng.below(79) as usize;
+        let ops: Vec<bool> = (0..n_ops).map(|_| rng.below(2) == 1).collect();
         let fabric = Fabric::new(2, 1, FabricConfig::test_default());
         let ctx = fabric.context(1, 0);
         let mut pushed = 0u64;

@@ -218,14 +218,13 @@ fn spc_counters_reflect_table_ii_quantities() {
 
 mod properties {
     use super::*;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use fairmpi_chaos::rng::Xoshiro256;
 
     /// Deterministic Fisher–Yates permutation of `0..n`.
-    fn permutation(rng: &mut SmallRng, n: usize) -> Vec<usize> {
+    fn permutation(rng: &mut Xoshiro256, n: usize) -> Vec<usize> {
         let mut v: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
-            v.swap(i, rng.gen_range(0usize..=i));
+            v.swap(i, rng.below(i as u64 + 1) as usize);
         }
         v
     }
@@ -255,7 +254,7 @@ mod properties {
     #[test]
     fn any_permutation_is_reordered_into_fifo() {
         for seed in 0..64u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Xoshiro256::seed_from_u64(seed);
             scrambled_delivery(permutation(&mut rng, 32));
         }
     }
@@ -266,9 +265,9 @@ mod properties {
     #[test]
     fn posts_and_delivers_interleaved_keep_fifo() {
         for seed in 0..64u64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xF1F0);
-            let order: Vec<bool> = (0..64).map(|_| rng.gen_range(0u64..2) == 1).collect();
-            let shuffle = rng.gen_range(0usize..24);
+            let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xF1F0);
+            let order: Vec<bool> = (0..64).map(|_| rng.below(2) == 1).collect();
+            let shuffle = rng.below(24) as usize;
             let n = 24usize;
             // A deterministic scramble parameterized by `shuffle`.
             let mut seqs: Vec<u64> = (0..n as u64).collect();
@@ -315,7 +314,7 @@ mod properties {
     #[test]
     fn overtaking_matches_in_arrival_order() {
         for seed in 0..32u64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x07E8);
+            let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x07E8);
             let perm = permutation(&mut rng, 16);
             let n = perm.len();
             let mut m = matcher(true);
@@ -362,10 +361,10 @@ mod properties {
     #[test]
     fn multi_source_streams_reorder_independently() {
         for seed in 0..32u64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x50_0C);
+            let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x50_0C);
             let perm_a = permutation(&mut rng, 12);
             let perm_b = permutation(&mut rng, 12);
-            let interleave: Vec<bool> = (0..24).map(|_| rng.gen_range(0u64..2) == 1).collect();
+            let interleave: Vec<bool> = (0..24).map(|_| rng.below(2) == 1).collect();
             let mut m = matcher(false);
             let mut out = Vec::new();
             let (mut ia, mut ib) = (0usize, 0usize);
@@ -400,9 +399,9 @@ mod properties {
     #[test]
     fn work_receipts_balance() {
         for seed in 0..32u64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0xBA1A);
+            let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xBA1A);
             let perm = permutation(&mut rng, 20);
-            let posted = rng.gen_range(0usize..20);
+            let posted = rng.below(20) as usize;
             let mut m = matcher(false);
             let mut out = Vec::new();
             let mut work = crate::MatchWork::default();

@@ -141,10 +141,6 @@ struct ExecInner {
     /// Forced choices replayed from a previous execution (DFS prefix or
     /// an explicit schedule).
     prefix: Vec<usize>,
-    /// Seeded xorshift state for random-walk mode; `None` = DFS default.
-    rng: Option<u64>,
-    preemption_bound: usize,
-    preemptions: usize,
     max_depth: usize,
     locks: HashMap<usize, LockState>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -168,18 +164,6 @@ impl ExecInner {
         let step_idx = self.steps.len();
         let chosen = if step_idx < self.prefix.len() && runnable.contains(&self.prefix[step_idx]) {
             self.prefix[step_idx]
-        } else if let Some(state) = self.rng.as_mut() {
-            // Random walk, still respecting the preemption budget.
-            let pool: &[usize] =
-                if self.preemptions >= self.preemption_bound && runnable.contains(&maker) {
-                    &[maker]
-                } else {
-                    &runnable
-                };
-            *state ^= *state << 13;
-            *state ^= *state >> 7;
-            *state ^= *state << 17;
-            pool[(*state % pool.len() as u64) as usize]
         } else if runnable.contains(&maker) {
             maker
         } else {
@@ -190,9 +174,6 @@ impl ExecInner {
             runnable,
             chosen,
         };
-        if is_preemption(&step, chosen) {
-            self.preemptions += 1;
-        }
         self.steps.push(step);
         self.current = Some(chosen);
         Some(chosen)
@@ -224,12 +205,7 @@ pub(crate) struct Execution {
 type Guard<'a> = StdMutexGuard<'a, ExecInner>;
 
 impl Execution {
-    fn new(
-        prefix: Vec<usize>,
-        rng: Option<u64>,
-        preemption_bound: usize,
-        max_depth: usize,
-    ) -> Self {
+    fn new(prefix: Vec<usize>, max_depth: usize) -> Self {
         Self {
             m: StdMutex::new(ExecInner {
                 threads: vec![ThreadState::Runnable],
@@ -238,9 +214,6 @@ impl Execution {
                 failure: None,
                 steps: Vec::new(),
                 prefix,
-                rng,
-                preemption_bound,
-                preemptions: 0,
                 max_depth,
                 locks: HashMap::new(),
                 handles: Vec::new(),
@@ -784,19 +757,9 @@ impl Checker {
         self
     }
 
-    fn run_once(
-        &self,
-        prefix: Vec<usize>,
-        rng: Option<u64>,
-        f: &Arc<dyn Fn() + Send + Sync>,
-    ) -> ExecResult {
+    fn run_once(&self, prefix: Vec<usize>, f: &Arc<dyn Fn() + Send + Sync>) -> ExecResult {
         install_quiet_hook();
-        let exec = Arc::new(Execution::new(
-            prefix,
-            rng,
-            self.preemption_bound,
-            self.max_depth,
-        ));
+        let exec = Arc::new(Execution::new(prefix, self.max_depth));
         let closure = Arc::clone(f);
         let thread_exec = Arc::clone(&exec);
         let main = std::thread::Builder::new()
@@ -862,7 +825,7 @@ impl Checker {
         let mut prefix = Vec::new();
         let mut explored = 0usize;
         loop {
-            let result = self.run_once(prefix, None, &f);
+            let result = self.run_once(prefix, &f);
             explored += 1;
             if let Some(message) = result.failure {
                 return Outcome::Fail(Counterexample {
@@ -891,38 +854,11 @@ impl Checker {
         }
     }
 
-    /// Seeded random-walk exploration: `iterations` independent random
-    /// schedules (still under the preemption bound). Reproducible for a
-    /// given seed; useful for state spaces too large to exhaust.
-    pub fn check_random(
-        &self,
-        seed: u64,
-        iterations: usize,
-        f: impl Fn() + Send + Sync + 'static,
-    ) -> Outcome {
-        let f: Arc<dyn Fn() + Send + Sync> = Arc::new(f);
-        for i in 0..iterations {
-            let stream = (seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) | 1;
-            let result = self.run_once(Vec::new(), Some(stream), &f);
-            if let Some(message) = result.failure {
-                return Outcome::Fail(Counterexample {
-                    schedule: result.steps.iter().map(|s| s.chosen).collect(),
-                    message,
-                    schedules_explored: i + 1,
-                });
-            }
-        }
-        Outcome::Pass {
-            schedules: iterations,
-            complete: false,
-        }
-    }
-
     /// Re-execute `f` under an explicit schedule (e.g. a counterexample's)
     /// to reproduce its interleaving.
     pub fn replay(&self, schedule: &[usize], f: impl Fn() + Send + Sync + 'static) -> Outcome {
         let f: Arc<dyn Fn() + Send + Sync> = Arc::new(f);
-        let result = self.run_once(schedule.to_vec(), None, &f);
+        let result = self.run_once(schedule.to_vec(), &f);
         match result.failure {
             Some(message) => Outcome::Fail(Counterexample {
                 schedule: result.steps.iter().map(|s| s.chosen).collect(),

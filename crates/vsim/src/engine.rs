@@ -1,9 +1,8 @@
 //! The discrete-event core: virtual clock, cores, locks, actors.
 
+use fairmpi_chaos::rng::Xoshiro256;
 use fairmpi_trace as trace;
 use fairmpi_trace::{NameId, TrackId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -165,7 +164,7 @@ pub struct Sim<W: WorldAccess> {
     free_cores: usize,
     run_queue: VecDeque<(ActorId, Resume)>,
     live_actors: usize,
-    rng: SmallRng,
+    rng: Xoshiro256,
     /// One trace track per actor (INVALID when tracing is disarmed).
     tracks: Vec<TrackId>,
     /// Interned names for scheduler-level slices.
@@ -200,7 +199,7 @@ impl<W: WorldAccess> Sim<W> {
             free_cores: params.cores.max(1),
             run_queue: VecDeque::new(),
             live_actors: 0,
-            rng: SmallRng::seed_from_u64(params.seed),
+            rng: Xoshiro256::seed_from_u64(params.seed),
             tracks: Vec::new(),
             sleep_name: trace::intern("sleep"),
             yield_name: trace::intern("yield"),
@@ -224,15 +223,6 @@ impl<W: WorldAccess> Sim<W> {
     /// Current virtual time (ns).
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Deterministic jitter in `[0, max_ns]`.
-    pub fn jitter(&mut self, max_ns: u64) -> u64 {
-        if max_ns == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=max_ns)
-        }
     }
 
     /// Register a new virtual lock with the scheduler's default contention
@@ -447,7 +437,7 @@ impl<W: WorldAccess> Sim<W> {
                         if lock.waiters.is_empty() {
                             None
                         } else {
-                            let pick = self.rng.gen_range(0..lock.waiters.len());
+                            let pick = self.rng.below(lock.waiters.len() as u64) as usize;
                             lock.waiters.swap_remove_back(pick)
                         }
                     };
@@ -837,17 +827,6 @@ mod tests {
         sim.add_actor(Box::new(Sleeper { lock: l, state: 0 }));
         sim.add_actor(Box::new(Sleeper { lock: l, state: 0 }));
         sim.run(1_000);
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_deterministic() {
-        let mut sim = Sim::new(SchedParams::default(), mini());
-        let seq: Vec<u64> = (0..32).map(|_| sim.jitter(100)).collect();
-        assert!(seq.iter().all(|&j| j <= 100));
-        let mut sim2 = Sim::new(SchedParams::default(), mini());
-        let seq2: Vec<u64> = (0..32).map(|_| sim2.jitter(100)).collect();
-        assert_eq!(seq, seq2, "same seed, same jitter");
-        assert_eq!(sim.jitter(0), 0);
     }
 
     #[test]

@@ -10,9 +10,7 @@
 use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-use fairmpi_chaos::XorShift64;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use fairmpi_chaos::rng::{XorShift64, Xoshiro256};
 
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
 use fairmpi_matching::{MatchEvent, Matcher, PostOutcome, PostedRecv, SendSequencer};
@@ -243,7 +241,7 @@ pub(crate) struct MrWorld {
     senders_done: usize,
     rr_send: u64,
     rr_recv: u64,
-    rng: SmallRng,
+    rng: Xoshiro256,
     scratch: Vec<MatchEvent>,
 }
 
@@ -254,14 +252,6 @@ impl WorldAccess for MrWorld {
 }
 
 impl MrWorld {
-    fn jitter(&mut self, max: u64) -> u64 {
-        if max == 0 {
-            0
-        } else {
-            self.rng.gen_range(0..=max)
-        }
-    }
-
     fn note_received(&mut self, token: usize) {
         self.recv_done[token] += 1;
         self.received += 1;
@@ -510,7 +500,7 @@ impl Injection {
         Action::Post {
             mailbox: self.mailbox,
             payload: self.payload,
-            delay_ns: w.cost.wire_latency_ns + world.jitter(w.cost.delivery_jitter_ns),
+            delay_ns: w.cost.wire_latency_ns + world.rng.jitter(w.cost.delivery_jitter_ns),
         }
     }
 }
@@ -1338,7 +1328,7 @@ impl MultirateSim {
             senders_done: 0,
             rr_send: 0,
             rr_recv: 0,
-            rng: SmallRng::seed_from_u64(self.seed ^ 0x9E37_79B9),
+            rng: Xoshiro256::seed_from_u64(self.seed ^ 0x9E37_79B9),
             scratch: Vec::new(),
         };
 

@@ -8,22 +8,11 @@
 use std::sync::Arc;
 
 use fairmpi::{Counter, DesignConfig, World};
+use fairmpi_chaos::rng::Xoshiro256;
 
 const BINS: usize = 32;
 const THREADS: usize = 4;
 const SAMPLES_PER_THREAD: usize = 2_000;
-
-/// Cheap deterministic pseudo-random stream (xorshift64*).
-struct Stream(u64);
-
-impl Stream {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-}
 
 fn main() {
     // Rank 1 hosts the histogram; rank 0's threads fill it remotely.
@@ -43,9 +32,9 @@ fn main() {
             std::thread::spawn(move || {
                 let proc = world.proc(0);
                 let win = proc.window(win_id).expect("window");
-                let mut rng = Stream(0x9E37_79B9 ^ (t as u64 + 1));
+                let mut rng = Xoshiro256::seed_from_u64(t as u64);
                 for _ in 0..SAMPLES_PER_THREAD {
-                    let bin = (rng.next() % BINS as u64) as usize;
+                    let bin = rng.below(BINS as u64) as usize;
                     // Remote atomic increment of the bin.
                     win.fetch_add(1, bin * 8, 1).expect("fetch_add");
                 }

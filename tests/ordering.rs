@@ -4,10 +4,8 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use fairmpi::{DesignConfig, World, ANY_TAG};
+use fairmpi_chaos::rng::Xoshiro256;
 
 /// The non-overtaking rule: messages from one thread on one (comm, tag)
 /// stream arrive in send order, whatever the design.
@@ -77,10 +75,10 @@ fn wildcard_tag_preserves_source_order() {
 #[test]
 fn random_traffic_round_trips() {
     for seed in 0..12u64 {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x7AFF);
-        let n = rng.gen_range(1usize..60);
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x7AFF);
+        let n = 1 + rng.below(59) as usize;
         let plan: Vec<(i32, usize)> = (0..n)
-            .map(|_| (rng.gen_range(0u64..4) as i32, rng.gen_range(0usize..200)))
+            .map(|_| (rng.below(4) as i32, rng.below(200) as usize))
             .collect();
         let world = Arc::new(
             World::builder()

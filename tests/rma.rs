@@ -3,10 +3,8 @@
 
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use fairmpi::{AccumulateOp, Counter, DesignConfig, MpiError, World};
+use fairmpi_chaos::rng::Xoshiro256;
 
 #[test]
 fn put_get_round_trip_between_ranks() {
@@ -226,13 +224,13 @@ fn error_paths() {
 #[test]
 fn puts_match_a_reference_model() {
     for seed in 0..16u64 {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x9A7C);
-        let n = rng.gen_range(1usize..40);
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x9A7C);
+        let n = 1 + rng.below(39) as usize;
         let writes: Vec<(usize, Vec<u8>)> = (0..n)
             .map(|_| {
-                let offset = rng.gen_range(0usize..56);
-                let len = rng.gen_range(1usize..8);
-                let data: Vec<u8> = (0..len).map(|_| rng.gen_range(0u64..256) as u8).collect();
+                let offset = rng.below(56) as usize;
+                let len = 1 + rng.below(7) as usize;
+                let data: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
                 (offset, data)
             })
             .collect();

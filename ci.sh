@@ -75,7 +75,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # The workspace-wide run unifies fairmpi-bench's default `trace` feature,
 # which turns `fairmpi-sync/traced` on everywhere; lint the crates below
 # it once more on the native backend they build with on their own.
-cargo clippy -p fairmpi-sync -p fairmpi-spc -p fairmpi-vsim --all-targets --offline -- -D warnings
+cargo clippy -p fairmpi-sync -p fairmpi-spc -p fairmpi-vsim -p fairmpi-progress \
+    -p fairmpi-matching -p fairmpi-chaos -p fairmpi-cri --all-targets --offline -- -D warnings
 
 echo "== doc =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline

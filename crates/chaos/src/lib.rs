@@ -17,13 +17,19 @@
 //! watchdogs — reacts to the injected faults exactly as it would to real
 //! ones.
 //!
+//! The [`recovery`] module repairs what the engine breaks: the retransmit
+//! backoff and the receiver's [`DedupWindow`].
+//!
 //! The [`rng`] module owns every random stream in the workspace: the
 //! xoshiro256\*\* generator behind the simulator and the property tests,
 //! and the xorshift64 behind the fault schedules. Both stay because
 //! committed results replay their exact draws (see the module doc). This
 //! crate holds them because it is the lowest one every consumer reaches.
 
+pub mod recovery;
 pub mod rng;
+
+pub use recovery::{retransmit_backoff_ns, DedupWindow};
 
 use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use rng::XorShift64;
@@ -208,11 +214,6 @@ impl ChaosEngine {
             observed: AtomicU64::new(0),
             kill_fired: AtomicBool::new(false),
         }
-    }
-
-    /// The plan this engine executes.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// One atomic per-mille draw shared by all threads.

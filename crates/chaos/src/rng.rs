@@ -7,9 +7,10 @@
 //! * [`Xoshiro256`] (xoshiro256\*\* seeded through SplitMix64) draws the
 //!   simulator's unfair lock grants and wire jitter, so every figure CSV
 //!   depends on it; the property tests' seeds were calibrated to it too.
-//! * [`XorShift64`] draws fault schedules: the native
-//!   [`ChaosEngine`](crate::ChaosEngine) and the simulated lossy wire, whose
-//!   drops and duplicates the degradation figure and the chaos tests replay.
+//! * [`XorShift64`] draws fault schedules: the
+//!   [`ChaosEngine`](crate::ChaosEngine) of the native fabric and of the
+//!   simulated lossy wire, whose drops and duplicates the degradation
+//!   figure and the chaos tests replay.
 //!
 //! Neither is cryptographic; both are deterministic for a seed.
 
@@ -99,11 +100,6 @@ impl XorShift64 {
     pub fn next_u64(&mut self) -> u64 {
         self.state = step(self.state);
         self.state
-    }
-
-    /// A draw uniform over `0..PM_SCALE`, for per-mille comparisons.
-    pub fn draw_pm(&mut self) -> u16 {
-        per_mille(self.next_u64())
     }
 }
 
@@ -260,7 +256,7 @@ mod tests {
         let mut lo = u16::MAX;
         let mut hi = 0;
         for _ in 0..10_000 {
-            let d = rng.draw_pm();
+            let d = per_mille(rng.next_u64());
             assert!(d < PM_SCALE);
             lo = lo.min(d);
             hi = hi.max(d);

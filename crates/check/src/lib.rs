@@ -16,10 +16,14 @@
 //! * the real [`fairmpi_sync::TicketRing`] — the offload command ring and
 //!   every network context's receive ring — under racing producers and a
 //!   concurrent consumer,
-//! * a miniature of the paper's Algorithm 2 progress loop
-//!   (dedicated-instance drain with round-robin fallback sweep),
-//! * the real [`fairmpi::DedupWindow`] receiver-side duplicate
-//!   suppression under racing deliveries,
+//! * a miniature of the paper's Algorithm 2 progress loop that walks the
+//!   runtime's own visit order, [`fairmpi_progress::Sweep`]
+//!   (dedicated-instance drain, then each other instance once),
+//! * the real [`fairmpi_chaos::DedupWindow`] receiver-side duplicate
+//!   suppression (the runtime's and the simulator's) under racing
+//!   deliveries,
+//! * the real [`fairmpi_matching::SendSequencer`]: racing draws toward one
+//!   peer are distinct,
 //! * the real request slab (`fairmpi::RequestTable`): completions, reaps
 //!   of cloned handles and stale tokens racing slot reuse, a claimed
 //!   receive completion racing a cancel, and two threads cycling slots

@@ -39,6 +39,7 @@
 //!    and has not published it; a packet queued behind that ticket then
 //!    loses to a later packet its own producer spilled.
 
+use fairmpi_progress::{Plan, Sweep};
 use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fairmpi_sync::{Mutex, TicketRing};
 use std::collections::{BTreeSet, VecDeque};
@@ -168,13 +169,13 @@ impl ModelRing {
 }
 
 // ---------------------------------------------------------------------------
-// Miniature Algorithm 2 progress loop (mirrors fairmpi_progress)
+// Miniature Algorithm 2 progress loop (walks fairmpi_progress::Sweep)
 // ---------------------------------------------------------------------------
 
-/// Miniature of the paper's Algorithm 2: each progress pass drains the
-/// caller's dedicated instance first and, when that produced nothing,
-/// sweeps every instance round-robin so a completion stranded on an
-/// unattended instance is still extracted.
+/// Miniature of the paper's Algorithm 2: each progress pass walks the
+/// runtime's own [`Sweep`] — the caller's dedicated instance first and,
+/// when that produced nothing, each other instance once — so a completion
+/// stranded on an unattended instance is still extracted.
 ///
 /// With `lost_wakeup = true` the sweep is gated on a pending flag that
 /// posters raise *before* inserting (a classic lost-wakeup window): a
@@ -185,7 +186,6 @@ impl ModelRing {
 pub struct MiniPool {
     lost_wakeup: bool,
     has_pending: AtomicU64,
-    round_robin: AtomicU64,
     instances: Vec<Mutex<Vec<u64>>>,
 }
 
@@ -195,7 +195,6 @@ impl MiniPool {
         Self {
             lost_wakeup,
             has_pending: AtomicU64::new(0),
-            round_robin: AtomicU64::new(0),
             instances: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
         }
     }
@@ -225,27 +224,28 @@ impl MiniPool {
     /// One progress pass by the thread assigned to instance `assigned`.
     /// Returns the number of completions extracted into `out`.
     pub fn pass(&self, assigned: usize, out: &mut Vec<u64>) -> usize {
-        let mut count = self.drain_one(assigned, out);
-        if count == 0 {
-            if self.lost_wakeup && self.has_pending.swap(0, Ordering::SeqCst) == 0 {
+        let mut sweep = Sweep::new(self.instances.len(), Plan::From(assigned));
+        let mut count = 0;
+        let mut k = sweep.current();
+        loop {
+            count += self.drain_one(k, out);
+            match sweep.next(count > 0) {
+                Some(next) => k = next,
+                None => return count,
+            }
+            if sweep.falls_back()
+                && self.lost_wakeup
+                && self.has_pending.swap(0, Ordering::SeqCst) == 0
+            {
                 // Seeded bug: no signal, skip the fallback sweep.
                 return 0;
             }
-            for _ in 0..self.instances.len() {
-                let k = self.round_robin.fetch_add(1, Ordering::Relaxed) as usize
-                    % self.instances.len();
-                count += self.drain_one(k, out);
-                if count > 0 {
-                    break;
-                }
-            }
         }
-        count
     }
 }
 
 // ---------------------------------------------------------------------------
-// Racy duplicate suppression (mirrors fairmpi::DedupWindow misuse)
+// Racy duplicate suppression (mirrors fairmpi_chaos::DedupWindow misuse)
 // ---------------------------------------------------------------------------
 
 /// Receiver-side duplicate suppression with a seeded check-then-insert
@@ -253,7 +253,7 @@ impl MiniPool {
 /// under a second, so two racing deliveries of the same `tseq` can both
 /// observe "new" and both be accepted. The correct design (the runtime's
 /// `Reliability::accept`) holds one lock across the whole
-/// [`fairmpi::DedupWindow::accept`] test-and-record.
+/// [`fairmpi_chaos::DedupWindow::accept`] test-and-record.
 pub struct RacyDedup {
     seen: Mutex<BTreeSet<u64>>,
 }

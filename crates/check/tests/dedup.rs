@@ -1,7 +1,7 @@
 //! Exhaustive interleaving checks of the real receiver-side duplicate
-//! suppression (`fairmpi::DedupWindow`) used by the reliability layer.
+//! suppression (`fairmpi_chaos::DedupWindow`) used by the reliability layer.
 
-use fairmpi::DedupWindow;
+use fairmpi_chaos::DedupWindow;
 use fairmpi_check::{spawn, Checker};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use fairmpi_sync::Mutex;

@@ -1,6 +1,7 @@
 //! Exhaustive interleaving check of the Algorithm 2 progress shape:
-//! dedicated-instance drain first, unconditional round-robin fallback
-//! sweep when the dedicated drain produced nothing.
+//! dedicated-instance drain first, then an unconditional fallback sweep
+//! over each other instance (the runtime's `fairmpi_progress::Sweep`)
+//! when the dedicated drain produced nothing.
 
 use fairmpi_check::mutants::MiniPool;
 use fairmpi_check::{spawn, yield_now, Checker};
@@ -76,4 +77,14 @@ fn algorithm2_two_progress_threads_extract_exactly_once() {
         assert_eq!(all, vec![7], "completion extracted exactly once");
     });
     outcome.assert_pass("Algorithm 2 two progress threads");
+    match outcome {
+        fairmpi_check::Outcome::Pass {
+            schedules,
+            complete,
+        } => {
+            assert!(complete, "bounded schedule space was not exhausted");
+            println!("Algorithm 2 two threads: {schedules} schedules, exhaustive");
+        }
+        fairmpi_check::Outcome::Fail(_) => unreachable!(),
+    }
 }

@@ -73,7 +73,6 @@ pub use design::{
 };
 pub use error::{MpiError, Result};
 pub use proc::Proc;
-pub use reliability::DedupWindow;
 #[doc(hidden)]
 pub use request::RequestTable;
 pub use request::{Message, Request};

@@ -21,10 +21,10 @@
 
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
 use fairmpi_sync::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use fairmpi_chaos::FaultPlan;
+use fairmpi_chaos::{retransmit_backoff_ns, DedupWindow, FaultPlan};
 use fairmpi_fabric::{Packet, Rank};
 use fairmpi_spc::{Counter, SpcSet};
 use fairmpi_trace as trace;
@@ -47,38 +47,6 @@ pub(crate) struct PendingFrame {
 struct SendChannel {
     next_tseq: u64,
     unacked: HashMap<u64, PendingFrame>,
-}
-
-/// Receive side of one (peer → this rank) channel: which tseqs arrived.
-///
-/// Public so `fairmpi-check` can model-check the suppression logic under
-/// racing deliveries — the runtime itself only uses it behind a
-/// [`Mutex`] in its private reliability layer.
-#[derive(Debug, Default)]
-pub struct DedupWindow {
-    /// Every tseq in `1..=floor` has been accepted.
-    floor: u64,
-    /// Accepted tseqs above the floor (out-of-order arrivals).
-    above: BTreeSet<u64>,
-}
-
-impl DedupWindow {
-    /// Empty window: no tseq accepted yet.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an arrival; `false` means this tseq was already accepted
-    /// (a wire duplicate or a retransmission racing its own ack).
-    pub fn accept(&mut self, tseq: u64) -> bool {
-        if tseq <= self.floor || !self.above.insert(tseq) {
-            return false;
-        }
-        while self.above.remove(&(self.floor + 1)) {
-            self.floor += 1;
-        }
-        true
-    }
 }
 
 /// What one reliability tick wants done: frames to re-inject, frames whose
@@ -154,7 +122,7 @@ impl Reliability {
 
     /// Sweep every channel for frames past their deadline. Expired frames
     /// within budget get their attempt count bumped and their deadline
-    /// pushed out exponentially (timeout × 2^attempts, capped at 2^6) and
+    /// pushed out by [`retransmit_backoff_ns`] and
     /// are returned for re-injection; frames past the budget are removed
     /// and returned as exhausted.
     pub(crate) fn tick(&self, now: Instant) -> TickWork {
@@ -175,10 +143,7 @@ impl Reliability {
                     continue;
                 }
                 frame.attempts += 1;
-                let backoff = self
-                    .plan
-                    .timeout_ns
-                    .saturating_mul(1 << frame.attempts.min(6));
+                let backoff = retransmit_backoff_ns(self.plan.timeout_ns, frame.attempts);
                 frame.deadline = now + Duration::from_nanos(backoff);
                 work.backoff_ns += backoff;
                 work.retransmit.push(frame.packet.clone());

@@ -101,11 +101,6 @@ impl CriPool {
         &self.instances[id]
     }
 
-    /// All instances.
-    pub fn instances(&self) -> &[Arc<Cri>] {
-        &self.instances
-    }
-
     /// The counter sink.
     pub fn spc(&self) -> &Arc<SpcSet> {
         &self.spc
@@ -183,11 +178,6 @@ impl CriPool {
         Some(survivor)
     }
 
-    /// True while at least one instance still works.
-    pub fn any_alive(&self) -> bool {
-        self.instances.iter().any(|c| c.is_alive())
-    }
-
     /// Drop this thread's dedicated binding for this pool, as when the user
     /// destroys a thread (paper §III-E's orphaned-instance scenario).
     pub fn forget_dedicated(&self) {
@@ -195,10 +185,5 @@ impl CriPool {
         if LAST_DEDICATED.get().0 == self.pool_id {
             LAST_DEDICATED.set((NO_POOL, 0));
         }
-    }
-
-    /// Total pending (injected, uncompleted) operations across instances.
-    pub fn total_pending_ops(&self) -> u64 {
-        self.instances.iter().map(|c| c.pending_ops()).sum()
     }
 }

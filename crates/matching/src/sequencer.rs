@@ -1,18 +1,20 @@
 //! Send-side sequence number assignment.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use fairmpi_sync::atomic::{AtomicU64, Ordering};
 
 use fairmpi_fabric::{Rank, SeqNo};
 
 /// Per-(communicator, destination) send sequence counters.
 ///
 /// One `SendSequencer` lives in each communicator on each rank. Assignment
-/// is a single relaxed `fetch_add` and is deliberately *not* performed under
-/// the instance lock: two threads can draw sequence numbers *n* and *n+1*
-/// and then inject them on different CRIs in the opposite order. That race
-/// is precisely how concurrent senders manufacture the out-of-sequence
-/// arrivals the paper measures (Table II shows up to ~94 % of messages
-/// arriving out of sequence at 20 thread pairs).
+/// is a single relaxed `fetch_add` on a `fairmpi-sync` atomic (so
+/// `fairmpi-check` can interleave racing draws) and is deliberately *not*
+/// performed under the instance lock: two threads can draw sequence
+/// numbers *n* and *n+1* and then inject them on different CRIs in the
+/// opposite order. That race is precisely how concurrent senders
+/// manufacture the out-of-sequence arrivals the paper measures (Table II
+/// shows up to ~94 % of messages arriving out of sequence at 20 thread
+/// pairs).
 #[derive(Debug)]
 pub struct SendSequencer {
     counters: Box<[AtomicU64]>,

@@ -71,13 +71,13 @@ fn counter_desc(c: Counter) -> &'static str {
         Counter::RmaGets => "one-sided get operations initiated",
         Counter::RmaAccumulates => "one-sided accumulate operations initiated",
         Counter::RmaFlushes => "window flush synchronizations completed",
-        Counter::CriRoundRobinAssignments => "CRI acquisitions served round-robin",
+        Counter::CriRoundRobinAssignments => "draws from Algorithm 1's round-robin counter",
         Counter::CriDedicatedHits => "CRI acquisitions served from dedicated state",
         Counter::InstanceTryLockFailures => "failed try_lock attempts on an instance",
         Counter::InstanceLockAcquisitions => "successful instance lock acquisitions",
         Counter::ProgressCalls => "calls into the progress engine",
         Counter::CompletionsDrained => "completion events drained from completion queues",
-        Counter::ProgressFallbackSweeps => "progress calls that swept beyond the dedicated instance",
+        Counter::ProgressFallbackSweeps => "progress passes that swept beyond the assigned instance",
         Counter::ProgressUsefulPasses => "progress passes that produced at least one completion",
         Counter::ProgressWastedPasses => "progress passes that produced nothing",
         Counter::OffloadCommands => "command descriptors enqueued to offload workers",

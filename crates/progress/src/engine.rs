@@ -9,6 +9,8 @@ use fairmpi_fabric::{busy_wait_ns, Completion, Packet};
 use fairmpi_spc::{Counter, Histogram, Watermark};
 use fairmpi_trace as trace;
 
+use crate::{Plan, Sweep};
+
 /// Which progress design is active (the Fig. 3a vs Fig. 3b axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProgressMode {
@@ -98,16 +100,6 @@ impl ProgressEngine {
         self
     }
 
-    /// Active mode.
-    pub fn mode(&self) -> ProgressMode {
-        self.mode
-    }
-
-    /// The instance pool this engine progresses.
-    pub fn pool(&self) -> &Arc<CriPool> {
-        &self.pool
-    }
-
     /// Make one progress pass; returns the number of user-visible
     /// completions produced (the `count` of paper Algorithm 2).
     pub fn progress<H: ProgressHandler>(&self, assignment: Assignment, handler: &H) -> usize {
@@ -115,8 +107,19 @@ impl ProgressEngine {
         let spc = self.pool.spc();
         spc.inc(Counter::ProgressCalls);
         let count = match self.mode {
-            ProgressMode::Serial => self.progress_serial(handler),
-            ProgressMode::Concurrent => self.progress_concurrent(assignment, handler),
+            // Only the thread holding the global gate extracts, visiting
+            // every instance; everyone else returns at once (as
+            // `opal_progress` does when the progress lock is taken).
+            ProgressMode::Serial => match self.serial_gate.try_lock() {
+                Some(_gate) => self.sweep(Plan::All, handler),
+                None => 0,
+            },
+            // Paper Algorithm 2. The fallback past the assigned instance
+            // guarantees every instance eventual progress (dedicated threads
+            // may be gone) and draws nothing from Algorithm 1's counter.
+            ProgressMode::Concurrent => {
+                self.sweep(Plan::From(self.pool.instance_id(assignment)), handler)
+            }
         };
         // Useful vs wasted share of the progress budget: a pass that drains
         // nothing is pure polling overhead (the cost the paper's dedicated
@@ -129,42 +132,22 @@ impl ProgressEngine {
         count
     }
 
-    /// Serial design: only the thread holding the global gate extracts;
-    /// everyone else returns immediately (as `opal_progress` does when the
-    /// progress lock is taken).
-    fn progress_serial<H: ProgressHandler>(&self, handler: &H) -> usize {
-        let Some(_gate) = self.serial_gate.try_lock() else {
-            return 0;
-        };
+    /// Drain the instances `plan` visits, in its order.
+    fn sweep<H: ProgressHandler>(&self, plan: Plan, handler: &H) -> usize {
+        let mut sweep = Sweep::new(self.pool.len(), plan);
         let mut count = 0;
-        for cri in self.pool.instances() {
-            count += self.drain_one(cri, handler);
-        }
-        count
-    }
-
-    /// Concurrent design — paper Algorithm 2.
-    fn progress_concurrent<H: ProgressHandler>(
-        &self,
-        assignment: Assignment,
-        handler: &H,
-    ) -> usize {
-        let k = self.pool.instance_id(assignment);
-        let mut count = self.drain_one(self.pool.instance(k), handler);
-        if count == 0 {
-            // Fallback sweep: guarantee eventual progress of every instance
-            // (dedicated threads may be gone; completions may be stranded).
-            trace::instant("progress.fallback_sweep");
-            self.pool.spc().inc(Counter::ProgressFallbackSweeps);
-            for _ in 0..self.pool.len() {
-                let k = self.pool.round_robin_id();
-                count += self.drain_one(self.pool.instance(k), handler);
-                if count > 0 {
-                    break;
-                }
+        let mut k = sweep.current();
+        loop {
+            count += self.drain_one(self.pool.instance(k), handler);
+            match sweep.next(count > 0) {
+                Some(next) => k = next,
+                None => return count,
+            }
+            if sweep.falls_back() {
+                trace::instant("progress.fallback_sweep");
+                self.pool.spc().inc(Counter::ProgressFallbackSweeps);
             }
         }
-        count
     }
 
     /// Try-lock one instance, extract up to the drain budget (charging

@@ -12,8 +12,9 @@
 //!   a single thread" (§III-E).
 //! * [`ProgressMode::Concurrent`] — paper Algorithm 2: every thread may
 //!   progress. A thread try-locks its assigned instance first; if that
-//!   yields no completions it sweeps the remaining instances round-robin,
-//!   try-locking each, which guarantees every instance is eventually
+//!   yields no completions it sweeps each other instance once, cyclically
+//!   from its own ([`Plan::From`]), try-locking each, until one completes
+//!   something. That guarantees every instance is eventually
 //!   progressed even if its dedicated thread is gone (the orphaned-CRI
 //!   rule), while try-lock failures mean "someone else is already draining
 //!   that instance, move on".
@@ -25,8 +26,10 @@
 //! (serialized) stage downstream of extraction.
 
 mod engine;
+mod sweep;
 
 pub use engine::{ProgressEngine, ProgressHandler, ProgressMode};
+pub use sweep::{Plan, Sweep};
 
 #[cfg(test)]
 mod tests;

@@ -276,3 +276,42 @@ fn progress_counts_in_spc() {
     }
     assert_eq!(pool.spc().get(Counter::ProgressCalls), 7);
 }
+
+/// Algorithm 1 binds each thread's dedicated instance with one draw from
+/// the pool's round-robin counter. A fallback sweep draws nothing from it,
+/// so threads that bind one after another get distinct instances even
+/// when a fallback pass finds work between two bindings.
+#[test]
+fn fallback_passes_leave_dedicated_bindings_one_to_one() {
+    for instances in 2..=4 {
+        let (fabric, pool, engine) = setup(instances, ProgressMode::Concurrent);
+        let rec = Recorder::default();
+        let mut bound = Vec::new();
+        for _ in 0..instances {
+            let mine = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mine = pool.dedicated_id();
+                    // Work waits on the next instance only: the pass's
+                    // first fallback visit finds it.
+                    fabric.deliver(packet(1, 0), (mine + 1) % instances);
+                    assert_eq!(engine.progress(Assignment::Dedicated, &rec), 1);
+                    mine
+                })
+                .join()
+                .unwrap()
+            });
+            bound.push(mine);
+        }
+        let mut distinct = bound.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), instances, "bindings {bound:?}");
+        let spc = pool.spc();
+        assert_eq!(
+            spc.get(Counter::CriRoundRobinAssignments),
+            instances as u64,
+            "one Algorithm 1 draw per binding"
+        );
+        assert_eq!(spc.get(Counter::ProgressFallbackSweeps), instances as u64);
+    }
+}

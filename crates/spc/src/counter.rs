@@ -66,7 +66,8 @@ pub enum Counter {
     RmaFlushes,
 
     // ---- CRI / progress engine ----
-    /// CRI acquisitions served by the round-robin strategy.
+    /// Draws from Algorithm 1's round-robin counter: round-robin
+    /// acquisitions and dedicated bindings, never progress visits.
     CriRoundRobinAssignments,
     /// CRI acquisitions served from thread-local (dedicated) state.
     CriDedicatedHits,

@@ -7,19 +7,21 @@
 //! only time, locks and cores are virtual. Out-of-sequence percentages and
 //! match times (Table II) therefore come out of the actual data structures.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use fairmpi_chaos::rng::{XorShift64, Xoshiro256};
+use fairmpi_chaos::rng::Xoshiro256;
+use fairmpi_chaos::{retransmit_backoff_ns, ChaosEngine, DedupWindow, Delivery, FaultPlan};
 
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
 use fairmpi_matching::{MatchEvent, Matcher, PostOutcome, PostedRecv, SendSequencer};
+use fairmpi_progress::{Plan, Sweep};
 use fairmpi_spc::{Counter, Histogram, SpcSet, SpcSnapshot, Watermark};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{IdleBackoff, Plan, SimAssignment, SimProgress, Sweep};
+use crate::workload::{IdleBackoff, SimAssignment, SimProgress};
 
 /// How matching state is laid out across pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,25 +202,15 @@ fn payload_comm(payload: u64) -> u32 {
     (payload >> 48) as u32
 }
 
-/// The simulated lossy wire: the fault schedule's own deterministic RNG
-/// stream (never the scheduler's — arming chaos must not perturb the
-/// jitter draws of an otherwise identical run) plus the receiver-side
-/// duplicate-suppression set.
+/// The simulated lossy wire: the runtime's own fault engine, on the
+/// fault plan's seeded stream (never the scheduler's — arming chaos must
+/// not perturb the jitter draws of an otherwise identical run), plus the
+/// receiver-side duplicate suppression.
 struct ChaosWire {
-    rng: XorShift64,
-    drop_pm: u16,
-    dup_pm: u16,
-    /// Payload words already matched once (dedup key: the packed
-    /// (comm, tag, seq) word, unique per logical message).
-    seen: HashSet<u64>,
-}
-
-/// What the chaos wire did to one shipped frame.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum WireVerdict {
-    Deliver,
-    Drop,
-    Duplicate,
+    engine: ChaosEngine,
+    /// One window per communicator of the sequence numbers matched once,
+    /// each offset by one: the sequencer counts from 0, a window from 1.
+    seen: Vec<DedupWindow>,
 }
 
 /// Shared state: receiver rings, the real matchers and sequencers.
@@ -281,39 +273,35 @@ impl MrWorld {
         cost.extraction_ns * batch.len() as u64
     }
 
-    /// Wire verdict for one shipped frame: a single per-mille draw with
-    /// cumulative bands, mutually exclusive, exactly like the native
-    /// fabric's chaos hook.
-    fn chaos_ship(&mut self) -> WireVerdict {
-        let Some(chaos) = &mut self.chaos else {
-            return WireVerdict::Deliver;
+    /// What the wire does to one shipped frame: the fault engine's
+    /// verdict, counted as the native fabric's chaos hook counts it.
+    fn chaos_ship(&mut self) -> Delivery {
+        let Some(chaos) = &self.chaos else {
+            return Delivery::Deliver;
         };
-        let r = chaos.rng.draw_pm();
-        if r < chaos.drop_pm {
-            self.spc.inc(Counter::ChaosDrops);
-            WireVerdict::Drop
-        } else if r < chaos.drop_pm + chaos.dup_pm {
-            self.spc.inc(Counter::ChaosDups);
-            WireVerdict::Duplicate
-        } else {
-            WireVerdict::Deliver
+        let verdict = chaos.engine.decide_delivery();
+        match verdict {
+            Delivery::Drop => self.spc.inc(Counter::ChaosDrops),
+            Delivery::Duplicate => self.spc.inc(Counter::ChaosDups),
+            _ => {}
         }
+        verdict
     }
 
     /// Deliver one drained packet through the real matcher; returns the
     /// virtual cost of the work performed and the completions it produced.
     fn match_deliver(&mut self, payload: u64, cost: &CostModel) -> (u64, usize) {
+        let packet = unpack(payload);
+        let idx = packet.envelope.comm as usize;
         if let Some(chaos) = &mut self.chaos {
             // Reliable-transport dedup: a duplicated frame is recognized
             // and discarded before it reaches the matcher, for no more
             // than its extraction cost.
-            if !chaos.seen.insert(payload) {
+            if !chaos.seen[idx].accept(packet.envelope.seq + 1) {
                 self.spc.inc(Counter::DuplicatesSuppressed);
                 return (cost.extraction_ns, 0);
             }
         }
-        let packet = unpack(payload);
-        let idx = packet.envelope.comm as usize;
         let mut events = std::mem::take(&mut self.scratch);
         events.clear();
         let work = self.matchers[idx].deliver(packet, &mut events);
@@ -457,7 +445,7 @@ impl Injection {
                     world.spc.inc(Counter::MessagesSent);
                 }
                 match world.chaos_ship() {
-                    WireVerdict::Drop => {
+                    Delivery::Drop => {
                         // The sender only learns of the loss when the ack
                         // timeout fires: release the instance and back off.
                         self.step = ShipStep::Backoff;
@@ -465,7 +453,7 @@ impl Injection {
                     }
                     verdict => {
                         self.attempt = 0;
-                        self.step = if verdict == WireVerdict::Duplicate {
+                        self.step = if verdict == Delivery::Duplicate {
                             ShipStep::ShipDup
                         } else {
                             ShipStep::Release
@@ -479,7 +467,7 @@ impl Injection {
                 self.post(world, w)
             }
             ShipStep::Backoff => {
-                let backoff = w.cost.retransmit_timeout_ns << self.attempt.min(6);
+                let backoff = retransmit_backoff_ns(w.cost.retransmit_timeout_ns, self.attempt);
                 self.attempt += 1;
                 world.spc.inc(Counter::Retransmits);
                 world.spc.add(Counter::RetryBackoffNanos, backoff);
@@ -613,7 +601,7 @@ struct Pass {
 impl Pass {
     fn start(&mut self, instances: usize, plan: Plan) {
         self.step = PassStep::TryLock;
-        self.sweep.plan(instances, plan);
+        self.sweep = Sweep::new(instances, plan);
         self.got = 0;
     }
 
@@ -668,6 +656,9 @@ impl Pass {
                 PassStep::Next => {
                     if self.sweep.next(self.got > 0).is_none() {
                         return Flow::Done(self.book(&world.spc));
+                    }
+                    if self.sweep.falls_back() {
+                        world.spc.inc(Counter::ProgressFallbackSweeps);
                     }
                     self.step = PassStep::TryLock;
                     continue;
@@ -986,7 +977,7 @@ impl Actor<MrWorld> for Receiver {
                         }
                         SimProgress::Concurrent => {
                             // Algorithm 2: assigned instance first, then
-                            // round-robin fallback.
+                            // the others once each, cyclically from it.
                             let first =
                                 design
                                     .assignment
@@ -1214,8 +1205,7 @@ impl Actor<MrWorld> for RecvWorker {
                                 return Action::Done;
                             }
                             // Progress pass: dedicated instance first,
-                            // round-robin fallback over the others
-                            // (Algorithm 2).
+                            // then the others once each (Algorithm 2).
                             world.spc.inc(Counter::ProgressCalls);
                             self.pass.start(self.w.instances, Plan::From(self.instance));
                             self.state = WrState::Pass;
@@ -1312,10 +1302,12 @@ impl MultirateSim {
 
         let world = MrWorld {
             chaos: (design.chaos_drop_pm > 0 || design.chaos_dup_pm > 0).then(|| ChaosWire {
-                rng: XorShift64::new(design.chaos_seed),
-                drop_pm: design.chaos_drop_pm,
-                dup_pm: design.chaos_dup_pm,
-                seen: HashSet::new(),
+                engine: ChaosEngine::new(
+                    FaultPlan::seeded(design.chaos_seed)
+                        .drop(design.chaos_drop_pm)
+                        .dup(design.chaos_dup_pm),
+                ),
+                seen: (0..num_comms).map(|_| DedupWindow::new()).collect(),
             }),
             rings: vec![VecDeque::new(); instances],
             matchers,
@@ -1614,6 +1606,9 @@ mod tests {
             "a batch carries at least one command"
         );
         assert!(spc.watermark(Watermark::OffloadQueueDepth).high() >= 1);
+        // Receive-worker passes that went past their own instance, counted
+        // where the native engine counts them.
+        assert_eq!(r.spc[Counter::ProgressFallbackSweeps], 17);
     }
 
     #[test]

@@ -10,12 +10,13 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+use fairmpi_progress::{Plan, Sweep};
 use fairmpi_spc::{Counter, SpcSet, SpcSnapshot};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{IdleBackoff, Plan, SimAssignment, SimProgress, Sweep};
+use crate::workload::{IdleBackoff, SimAssignment, SimProgress};
 
 /// An RMA-MT experiment (one message size).
 #[derive(Debug, Clone)]
@@ -143,7 +144,7 @@ impl Putter {
         } else {
             Plan::From(self.pick_instance(world))
         };
-        self.sweep.plan(self.instances, plan);
+        self.sweep = Sweep::new(self.instances, plan);
         self.cur_instance = self.sweep.current();
     }
 
@@ -275,6 +276,9 @@ impl Actor<RmaWorld> for Putter {
                         continue;
                     };
                     self.cur_instance = next;
+                    if self.sweep.falls_back() {
+                        world.spc.inc(Counter::ProgressFallbackSweeps);
+                    }
                     if self.holding_gate {
                         self.state = PState::Drain;
                         return Action::Lock(self.inst_locks[self.cur_instance]);

@@ -241,7 +241,8 @@ fn batched_matching_counts_every_packet_once() {
 
 /// Four application threads of one rank send at once: each thread counts
 /// into its own shard of the rank's set, and the sums are exact. On the
-/// one-instance pool every send still counts its round-robin pick.
+/// one-instance pool every send still counts its round-robin pick; on the
+/// proposed design each receiving thread counts its one binding draw.
 #[test]
 fn four_sending_threads_of_one_rank_count_exactly() {
     const THREADS: u32 = 4;
@@ -278,5 +279,17 @@ fn four_sending_threads_of_one_rank_count_exactly() {
         }
         let receiver = world.proc(1).spc_snapshot();
         assert_eq!(receiver[Counter::MessagesReceived], sends, "{design:?}");
+        if !one_instance {
+            // One Algorithm 1 draw per thread's binding; the fallback
+            // sweeps of its progress passes draw none. Every sender binds
+            // on its first isend. A receiver whose receives all complete
+            // when posted never progresses, so it may never bind.
+            assert_eq!(
+                sender[Counter::CriRoundRobinAssignments],
+                u64::from(THREADS)
+            );
+            let binds = receiver[Counter::CriRoundRobinAssignments];
+            assert!((1..=u64::from(THREADS)).contains(&binds), "{binds}");
+        }
     }
 }

@@ -7,6 +7,15 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
+# Fail unless log "$2" is free of pattern "$1". (`! grep` cannot be the
+# check: `set -e` ignores a command whose status `!` inverts.)
+refute() {
+    if grep -q "$1" "$2"; then
+        echo "'$1' in $2" >&2
+        exit 1
+    fi
+}
+
 echo "== build (release, default features) =="
 cargo build --release --workspace --offline
 
@@ -60,7 +69,7 @@ echo "== model check (bounded-preemption interleaving exploration) =="
 # Algorithm 2 fallback sweep, dedup window, request slab and its free
 # stack, rx ring and its spill hand-off to the overflow list) ...
 cargo test -q --offline -p fairmpi-check 2>&1 | tee /tmp/fairmpi_check.log
-! grep -q "FAILED" /tmp/fairmpi_check.log
+refute "FAILED" /tmp/fairmpi_check.log
 # ... and the checker must have teeth: all seven seeded mutant bugs caught
 # with reproducible counterexample schedules.
 cargo test --offline -p fairmpi-check --test mutants all_seeded_mutants_caught -- --nocapture \
@@ -112,7 +121,7 @@ grep -Eq '^fairmpi_offload_queue_depth_hwm [1-9]' "$smoke_dir/offload_pvars.prom
 # match the committed baseline within the noise threshold and every
 # printed qualitative check must hold.
 (cd "$smoke_dir" && "$bin/fig_offload" > offload.log)
-! grep -q "FAIL" "$smoke_dir/offload.log"
+refute "FAIL" "$smoke_dir/offload.log"
 "$bin/fairmpi-report" results/BENCH_fig_offload.json \
     "$smoke_dir/results/BENCH_fig_offload.json" --noise 0.05
 
@@ -124,19 +133,22 @@ echo "== degradation: zero-fault identity + regression gate =="
 # baselines — any drift means the chaos hooks leaked into clean runs.
 cmp results/fig_offload.csv "$smoke_dir/results/fig_offload.csv"
 (cd "$smoke_dir" && "$bin/fig_degradation" > degradation.log)
-! grep -q "FAIL" "$smoke_dir/degradation.log"
+refute "FAIL" "$smoke_dir/degradation.log"
 cmp results/fig_degradation.csv "$smoke_dir/results/fig_degradation.csv"
 "$bin/fairmpi-report" results/BENCH_fig_degradation.json \
     "$smoke_dir/results/BENCH_fig_degradation.json" --noise 0.05
 
-echo "== fig7: RMA-MT grid identity =="
-# The KNL RMA-MT grid (five message sizes, a few seconds) is the cheap
-# end-to-end gate on the RMA-MT actors: deterministic under virtual time,
-# so every panel must be BIT-IDENTICAL to the committed baseline.
-(cd "$smoke_dir" && "$bin/fig7" > fig7.log)
-! grep -q "FAIL" "$smoke_dir/fig7.log"
-for csv in results/fig7_*B.csv; do
-    cmp "$csv" "$smoke_dir/$csv"
+echo "== fig6 + fig7: RMA-MT grid identity =="
+# The Haswell and KNL RMA-MT grids (five message sizes each, a few
+# seconds) are the cheap end-to-end gate on the RMA-MT actors:
+# deterministic under virtual time, so every panel must be BIT-IDENTICAL
+# to the committed baseline.
+for fig in fig6 fig7; do
+    (cd "$smoke_dir" && "$bin/$fig" > "$fig.log")
+    refute "FAIL" "$smoke_dir/$fig.log"
+    for csv in results/"$fig"_*B.csv; do
+        cmp "$csv" "$smoke_dir/$csv"
+    done
 done
 
 echo "== chaos soak (seeded fault injection) =="

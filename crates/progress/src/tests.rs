@@ -269,12 +269,20 @@ fn completions_release_pending_ops() {
 
 #[test]
 fn progress_counts_in_spc() {
-    let (_fabric, pool, engine) = setup(2, ProgressMode::Concurrent);
+    let (fabric, pool, engine) = setup(2, ProgressMode::Concurrent);
+    fabric.deliver(packet(1, 0), 1);
     let rec = Recorder::default();
     for _ in 0..7 {
         engine.progress(Assignment::RoundRobin, &rec);
     }
-    assert_eq!(pool.spc().get(Counter::ProgressCalls), 7);
+    let spc = pool.spc();
+    assert_eq!(spc.get(Counter::ProgressCalls), 7);
+    assert_eq!(spc.get(Counter::ProgressUsefulPasses), 1);
+    // Every call books exactly one pass, useful or wasted.
+    assert_eq!(
+        spc.get(Counter::ProgressUsefulPasses) + spc.get(Counter::ProgressWastedPasses),
+        spc.get(Counter::ProgressCalls)
+    );
 }
 
 /// Algorithm 1 binds each thread's dedicated instance with one draw from

@@ -15,13 +15,15 @@ use fairmpi_chaos::{retransmit_backoff_ns, ChaosEngine, DedupWindow, Delivery, F
 
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
 use fairmpi_matching::{MatchEvent, Matcher, PostOutcome, PostedRecv, SendSequencer};
-use fairmpi_progress::{Plan, Sweep};
-use fairmpi_spc::{Counter, Histogram, SpcSet, SpcSnapshot, Watermark};
+use fairmpi_progress::Plan;
+use fairmpi_spc::{Counter, SpcSet, SpcSnapshot, Watermark};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{IdleBackoff, SimAssignment, SimProgress};
+use crate::workload::{
+    Drain, Flow, Hold, IdleBackoff, Pass, SimAssignment, SimProgress, DRAIN_BATCH,
+};
 
 /// How matching state is laid out across pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,8 +171,6 @@ pub struct MultirateResult {
 // Shared world
 // ---------------------------------------------------------------------
 
-const DRAIN_BATCH: usize = 32;
-
 /// Simulated offload command-queue capacity (the native default of
 /// `fairmpi_offload::OffloadConfig`). Enqueues against a full queue stall
 /// and count [`Counter::OffloadBackpressureStalls`].
@@ -249,30 +249,6 @@ impl MrWorld {
         self.received += 1;
     }
 
-    /// Pop up to `DRAIN_BATCH` packets from one instance ring into `batch`;
-    /// returns the extraction cost.
-    fn extract_into(&mut self, instance: usize, batch: &mut Vec<u64>, cost: &CostModel) -> u64 {
-        batch.clear();
-        let ring = &mut self.rings[instance];
-        while batch.len() < DRAIN_BATCH {
-            match ring.pop_front() {
-                Some(p) => batch.push(p),
-                None => break,
-            }
-        }
-        self.spc
-            .add(Counter::CompletionsDrained, batch.len() as u64);
-        self.spc
-            .record_hist(Histogram::DrainBatchSize, batch.len() as u64);
-        if !batch.is_empty() {
-            // Same definition as the native progress engine: the packets
-            // one non-empty visit drained.
-            self.spc
-                .record_level(Watermark::InstanceRxDepth, batch.len() as u64);
-        }
-        cost.extraction_ns * batch.len() as u64
-    }
-
     /// What the wire does to one shipped frame: the fault engine's
     /// verdict, counted as the native fabric's chaos hook counts it.
     fn chaos_ship(&mut self) -> Delivery {
@@ -286,34 +262,6 @@ impl MrWorld {
             _ => {}
         }
         verdict
-    }
-
-    /// Deliver one drained packet through the real matcher; returns the
-    /// virtual cost of the work performed and the completions it produced.
-    fn match_deliver(&mut self, payload: u64, cost: &CostModel) -> (u64, usize) {
-        let packet = unpack(payload);
-        let idx = packet.envelope.comm as usize;
-        if let Some(chaos) = &mut self.chaos {
-            // Reliable-transport dedup: a duplicated frame is recognized
-            // and discarded before it reaches the matcher, for no more
-            // than its extraction cost.
-            if !chaos.seen[idx].accept(packet.envelope.seq + 1) {
-                self.spc.inc(Counter::DuplicatesSuppressed);
-                return (cost.extraction_ns, 0);
-            }
-        }
-        let mut events = std::mem::take(&mut self.scratch);
-        events.clear();
-        let work = self.matchers[idx].deliver(packet, &mut events);
-        let mut got = 0;
-        for ev in events.drain(..) {
-            self.note_received(ev.token as usize);
-            got += 1;
-        }
-        self.scratch = events;
-        let cost_ns = cost.match_time_ns(&work);
-        self.spc.add(Counter::MatchTimeNanos, cost_ns);
-        (cost_ns, got)
     }
 }
 
@@ -377,16 +325,6 @@ impl Wiring {
 // Protocol phases, shared by the application actors and the offload
 // workers
 // ---------------------------------------------------------------------
-
-/// A phase's answer to one step: an action to yield, or the phase's end
-/// (reported on the step after its last action completed). Each phase's
-/// `step` is inlined into its two callers: as an outlined call the extra
-/// dispatch cost ≈ 7 % of simulator CPU time (`diag 20 20 concurrent
-/// perpair`).
-enum Flow<T> {
-    Yield(Action),
-    Done(T),
-}
 
 #[derive(Clone, Copy, Default)]
 enum ShipStep {
@@ -566,140 +504,65 @@ impl Post {
     }
 }
 
-#[derive(Clone, Copy, Default)]
-enum PassStep {
-    #[default]
-    TryLock,
-    Tried,
-    Extract,
-    InstanceUnlock,
-    MatchLock,
-    MatchCharge,
-    MatchUnlock,
-    Next,
+/// The receive side as one [`Pass`] drains it: the instance rings and the
+/// real matchers behind them.
+struct RecvSide<'a> {
+    world: &'a mut MrWorld,
+    w: &'a Wiring,
 }
 
-/// One progress pass (paper Algorithm 2): try-lock each planned instance,
-/// skipping one that is busy; extract a batch under its lock; release it;
-/// match each drained packet under its matching lock; end after the first
-/// instance that completed something unless the sweep is a whole one (the
-/// serial gate holder's). Ends `Done(useful)` once booked as a useful or
-/// wasted pass.
-#[derive(Default)]
-struct Pass {
-    step: PassStep,
-    sweep: Sweep,
-    batch: Vec<u64>,
-    batch_pos: usize,
-    /// Receives completed during this pass.
-    got: usize,
-    /// When the current match-lock acquisition started, for charging lock
-    /// wait into the match-time counter (as OMPI's SPC does).
-    wait_from: u64,
-}
-
-impl Pass {
-    fn start(&mut self, instances: usize, plan: Plan) {
-        self.step = PassStep::TryLock;
-        self.sweep = Sweep::new(instances, plan);
-        self.got = 0;
+impl Drain for RecvSide<'_> {
+    fn spc(&self) -> &SpcSet {
+        &self.world.spc
     }
 
-    #[inline(always)]
-    fn step(&mut self, resume: Resume, now: u64, world: &mut MrWorld, w: &Wiring) -> Flow<bool> {
-        loop {
-            let action = match self.step {
-                PassStep::TryLock => {
-                    self.step = PassStep::Tried;
-                    Action::TryLock(w.recv_locks[self.sweep.current()])
-                }
-                PassStep::Tried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("instance resume must carry a try-lock result");
-                    };
-                    if got {
-                        self.step = PassStep::Extract;
-                    } else {
-                        world.spc.inc(Counter::InstanceTryLockFailures);
-                        self.step = PassStep::Next;
-                    }
-                    continue;
-                }
-                PassStep::Extract => {
-                    self.step = PassStep::InstanceUnlock;
-                    Action::Compute(self.extract(world, &w.cost))
-                }
-                PassStep::InstanceUnlock => {
-                    self.step = PassStep::MatchLock;
-                    Action::Unlock(w.recv_locks[self.sweep.current()])
-                }
-                PassStep::MatchLock => {
-                    let Some(payload) = self.pending() else {
-                        self.step = PassStep::Next;
-                        continue;
-                    };
-                    self.wait_from = now;
-                    self.step = PassStep::MatchCharge;
-                    Action::Lock(w.match_lock(payload_comm(payload)))
-                }
-                PassStep::MatchCharge => {
-                    let cost = self.match_next(world, &w.cost);
-                    world.spc.add(Counter::MatchTimeNanos, now - self.wait_from);
-                    self.step = PassStep::MatchUnlock;
-                    Action::Compute(cost)
-                }
-                PassStep::MatchUnlock => {
-                    let comm = payload_comm(self.batch[self.batch_pos - 1]);
-                    self.step = PassStep::MatchLock;
-                    Action::Unlock(w.match_lock(comm))
-                }
-                PassStep::Next => {
-                    if self.sweep.next(self.got > 0).is_none() {
-                        return Flow::Done(self.book(&world.spc));
-                    }
-                    if self.sweep.falls_back() {
-                        world.spc.inc(Counter::ProgressFallbackSweeps);
-                    }
-                    self.step = PassStep::TryLock;
-                    continue;
-                }
-            };
-            return Flow::Yield(action);
+    fn instance_lock(&self, k: usize) -> LockId {
+        self.w.recv_locks[k]
+    }
+
+    fn extract(&mut self, k: usize, batch: &mut Vec<u64>) -> (u64, usize) {
+        let ring = &mut self.world.rings[k];
+        batch.extend(ring.drain(..ring.len().min(DRAIN_BATCH)));
+        if !batch.is_empty() {
+            // Same definition as the native progress engine: the packets
+            // one non-empty visit drained.
+            self.world
+                .spc
+                .record_level(Watermark::InstanceRxDepth, batch.len() as u64);
         }
+        (self.w.cost.extraction_ns * batch.len() as u64, 0)
     }
 
-    /// Drain a batch from the instance under the cursor; returns the
-    /// extraction cost.
-    fn extract(&mut self, world: &mut MrWorld, cost: &CostModel) -> u64 {
-        self.batch_pos = 0;
-        world.extract_into(self.sweep.current(), &mut self.batch, cost)
+    fn match_lock(&self, item: u64) -> LockId {
+        self.w.match_lock(payload_comm(item))
     }
 
-    /// The next drained packet still to match.
-    fn pending(&self) -> Option<u64> {
-        self.batch.get(self.batch_pos).copied()
-    }
-
-    /// Deliver the next drained packet through the real matcher; returns
-    /// the virtual cost of the work actually performed.
-    fn match_next(&mut self, world: &mut MrWorld, cost: &CostModel) -> u64 {
-        let payload = self.batch[self.batch_pos];
-        self.batch_pos += 1;
-        let (ns, got) = world.match_deliver(payload, cost);
-        self.got += got;
-        ns
-    }
-
-    /// Book the pass as useful or wasted (the polling-overhead share the
-    /// paper's designs trade off); true if it completed something.
-    fn book(&self, spc: &SpcSet) -> bool {
-        if self.got == 0 {
-            spc.inc(Counter::ProgressWastedPasses);
-            false
-        } else {
-            spc.inc(Counter::ProgressUsefulPasses);
-            true
+    /// Deliver one drained packet through the real matcher.
+    fn match_item(&mut self, item: u64) -> (u64, usize) {
+        let (world, cost) = (&mut *self.world, &self.w.cost);
+        let packet = unpack(item);
+        let idx = packet.envelope.comm as usize;
+        if let Some(chaos) = &mut world.chaos {
+            // Reliable-transport dedup: a duplicated frame is recognized
+            // and discarded before it reaches the matcher, for no more
+            // than its extraction cost.
+            if !chaos.seen[idx].accept(packet.envelope.seq + 1) {
+                world.spc.inc(Counter::DuplicatesSuppressed);
+                return (cost.extraction_ns, 0);
+            }
         }
+        let mut events = std::mem::take(&mut world.scratch);
+        events.clear();
+        let work = world.matchers[idx].deliver(packet, &mut events);
+        let mut got = 0;
+        for ev in events.drain(..) {
+            world.note_received(ev.token as usize);
+            got += 1;
+        }
+        world.scratch = events;
+        let cost_ns = cost.match_time_ns(&work);
+        world.spc.add(Counter::MatchTimeNanos, cost_ns);
+        (cost_ns, got)
     }
 }
 
@@ -840,17 +703,8 @@ enum RState {
     Post,
     /// Begin one progress pass.
     Progress,
-    /// Serial mode: result of the global gate try-lock.
-    GateTried,
-    /// In a progress pass (see [`Pass`]); the serial gate holder releases
-    /// the gate after it.
-    Pass { gate: bool },
-    /// Big-lock mode: extract from the next instance (no inner locks).
-    BigExtract,
-    /// Big-lock mode: match the batch (no inner locks).
-    BigMatch,
-    /// Big-lock mode: release the critical section.
-    BigRelease,
+    /// In a progress pass (see [`Pass`]).
+    Pass,
     /// Nothing found: charge an empty poll.
     IdlePoll,
     /// Then yield the core.
@@ -881,16 +735,6 @@ impl Receiver {
         self.posted += 1;
         if self.posted.is_multiple_of(self.window as u64) {
             self.wait_target = self.posted;
-        }
-    }
-
-    /// Where to go after a pass: back to the top, or idle if it was wasted.
-    fn after_pass(&mut self, useful: bool) -> RState {
-        if useful {
-            self.idle.reset();
-            RState::Idle
-        } else {
-            RState::IdlePoll
         }
     }
 }
@@ -959,76 +803,37 @@ impl Actor<MrWorld> for Receiver {
                     }
                 },
                 RState::Progress => {
-                    world.spc.inc(Counter::ProgressCalls);
-                    if design.big_lock {
-                        self.pass.start(instances, Plan::All);
-                        self.state = RState::BigExtract;
-                        return Action::Lock(self.w.big);
-                    }
-                    if design.process_mode {
-                        self.pass.start(instances, Plan::Only(self.id % instances));
-                        self.state = RState::Pass { gate: false };
-                        continue;
-                    }
-                    match design.progress {
-                        SimProgress::Serial => {
-                            self.state = RState::GateTried;
-                            return Action::TryLock(self.w.gate);
-                        }
-                        SimProgress::Concurrent => {
-                            // Algorithm 2: assigned instance first, then
-                            // the others once each, cyclically from it.
-                            let first =
-                                design
-                                    .assignment
-                                    .pick(self.id, instances, &mut world.rr_recv);
-                            self.pass.start(instances, Plan::From(first));
-                            self.state = RState::Pass { gate: false };
-                        }
-                    }
-                }
-                RState::GateTried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("gate resume must carry a try-lock result");
+                    let (plan, hold) = if design.big_lock {
+                        (Plan::All, Hold::Big(self.w.big))
+                    } else if design.process_mode {
+                        (Plan::Only(self.id % instances), Hold::Free)
+                    } else if design.progress == SimProgress::Serial {
+                        // The gate holder also try-locks each instance:
+                        // one busy with a sender is skipped and revisited
+                        // on the next pass rather than queued behind the
+                        // convoy.
+                        (Plan::All, Hold::Gate(self.w.gate))
+                    } else {
+                        // Algorithm 2: assigned instance first, then the
+                        // others once each, cyclically from it.
+                        let first = design
+                            .assignment
+                            .pick(self.id, instances, &mut world.rr_recv);
+                        (Plan::From(first), Hold::Free)
                     };
-                    if !got {
-                        // Someone else is progressing; bail out like
-                        // opal_progress.
-                        self.state = RState::IdlePoll;
-                        continue;
-                    }
-                    // The gate holder also try-locks each instance: one
-                    // busy with a sender is skipped and revisited on the
-                    // next pass rather than queued behind the convoy.
-                    self.pass.start(instances, Plan::All);
-                    self.state = RState::Pass { gate: true };
+                    self.pass.start(instances, plan, hold);
+                    self.state = RState::Pass;
                 }
-                RState::Pass { gate } => match self.pass.step(resume, now, world, &self.w) {
-                    Flow::Yield(action) => return action,
-                    Flow::Done(useful) => {
-                        self.state = self.after_pass(useful);
-                        if gate {
-                            return Action::Unlock(self.w.gate);
+                RState::Pass => {
+                    let side = &mut RecvSide { world, w: &self.w };
+                    match self.pass.step(resume, now, side) {
+                        Flow::Yield(action) => return action,
+                        Flow::Done(true) => {
+                            self.idle.reset();
+                            self.state = RState::Idle;
                         }
+                        Flow::Done(false) => self.state = RState::IdlePoll,
                     }
-                },
-                RState::BigExtract => {
-                    self.state = RState::BigMatch;
-                    return Action::Compute(self.pass.extract(world, &self.w.cost));
-                }
-                RState::BigMatch => {
-                    if self.pass.pending().is_some() {
-                        return Action::Compute(self.pass.match_next(world, &self.w.cost));
-                    }
-                    self.state = match self.pass.sweep.next(false) {
-                        Some(_) => RState::BigExtract,
-                        None => RState::BigRelease,
-                    };
-                }
-                RState::BigRelease => {
-                    let useful = self.pass.book(&world.spc);
-                    self.state = self.after_pass(useful);
-                    return Action::Unlock(self.w.big);
                 }
                 RState::IdlePoll => {
                     self.state = RState::IdleYield;
@@ -1206,8 +1011,8 @@ impl Actor<MrWorld> for RecvWorker {
                             }
                             // Progress pass: dedicated instance first,
                             // then the others once each (Algorithm 2).
-                            world.spc.inc(Counter::ProgressCalls);
-                            self.pass.start(self.w.instances, Plan::From(self.instance));
+                            let plan = Plan::From(self.instance);
+                            self.pass.start(self.w.instances, plan, Hold::Free);
                             self.state = WrState::Pass;
                         }
                     }
@@ -1216,17 +1021,20 @@ impl Actor<MrWorld> for RecvWorker {
                     Flow::Yield(action) => return action,
                     Flow::Done(()) => self.state = WrState::Top,
                 },
-                WrState::Pass => match self.pass.step(resume, now, world, &self.w) {
-                    Flow::Yield(action) => return action,
-                    Flow::Done(true) => {
-                        self.intake.idle.reset();
-                        self.state = WrState::Top;
+                WrState::Pass => {
+                    let side = &mut RecvSide { world, w: &self.w };
+                    match self.pass.step(resume, now, side) {
+                        Flow::Yield(action) => return action,
+                        Flow::Done(true) => {
+                            self.intake.idle.reset();
+                            self.state = WrState::Top;
+                        }
+                        Flow::Done(false) => {
+                            self.state = WrState::IdleSleep;
+                            return self.intake.idle_poll(&self.w.cost);
+                        }
                     }
-                    Flow::Done(false) => {
-                        self.state = WrState::IdleSleep;
-                        return self.intake.idle_poll(&self.w.cost);
-                    }
-                },
+                }
                 WrState::IdleSleep => {
                     self.state = WrState::Top;
                     return Action::Sleep(self.intake.idle.next_ns());

@@ -6,17 +6,28 @@
 //! contention are the instances themselves, which is why dedicated
 //! assignment scales almost perfectly while a single shared instance
 //! collapses (Figs. 6 and 7).
+//!
+//! The flush runs the simulator's one progress pass (`workload::Pass`)
+//! over the origin's completion queues: a CQE completes at extraction and
+//! leaves nothing to match. Under dedicated assignment a pass visits the
+//! thread's own instance only. Under round-robin it sweeps them all: from
+//! a freshly assigned instance under concurrent progress, or, under
+//! serial progress, behind the global gate, whose holder try-locks each
+//! instance as the native engine's does. Each flush pass counts one
+//! progress call and books one useful or wasted pass.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use fairmpi_progress::{Plan, Sweep};
+use fairmpi_progress::Plan;
 use fairmpi_spc::{Counter, SpcSet, SpcSnapshot};
 
 use crate::cost::CostModel;
 use crate::engine::{Action, Actor, LockId, Resume, Sim, WorldAccess};
 use crate::machine::Machine;
-use crate::workload::{IdleBackoff, SimAssignment, SimProgress};
+use crate::workload::{
+    Drain, Flow, Hold, IdleBackoff, Pass, SimAssignment, SimProgress, DRAIN_BATCH,
+};
 
 /// An RMA-MT experiment (one message size).
 #[derive(Debug, Clone)]
@@ -73,7 +84,40 @@ impl WorldAccess for RmaWorld {
     }
 }
 
-const DRAIN_BATCH: usize = 32;
+/// The origin's completion queues as one flush [`Pass`] drains them: a
+/// CQE completes at extraction and leaves nothing to match.
+struct OriginCqs<'a> {
+    world: &'a mut RmaWorld,
+    locks: &'a [LockId],
+    cqe_drain_ns: u64,
+}
+
+impl Drain for OriginCqs<'_> {
+    fn spc(&self) -> &SpcSet {
+        &self.world.spc
+    }
+
+    fn instance_lock(&self, k: usize) -> LockId {
+        self.locks[k]
+    }
+
+    fn extract(&mut self, k: usize, _batch: &mut Vec<u64>) -> (u64, usize) {
+        let world = &mut *self.world;
+        let n = world.cqs[k].len().min(DRAIN_BATCH);
+        for owner in world.cqs[k].drain(..n) {
+            world.pending[owner as usize] -= 1;
+        }
+        ((self.cqe_drain_ns * n as u64).max(1), n)
+    }
+
+    fn match_lock(&self, _item: u64) -> LockId {
+        unreachable!("a CQE leaves nothing to match")
+    }
+
+    fn match_item(&mut self, _item: u64) -> (u64, usize) {
+        unreachable!("a CQE leaves nothing to match")
+    }
+}
 
 enum PState {
     /// Issue the next put, or move to the flush.
@@ -86,18 +130,8 @@ enum PState {
     Release,
     /// Flush: check pending, run progress passes until drained.
     Flush,
-    /// Serial flush: gate try-lock result.
-    GateTried,
-    /// Concurrent flush: instance try-lock result.
-    ConcTried,
-    /// Holding an instance: drain a batch of completions.
-    Drain,
-    /// Release the instance after draining.
-    DrainUnlock,
-    /// Advance the sweep.
-    NextInstance,
-    /// Release the serial gate.
-    ReleaseGate,
+    /// In a flush pass (see [`Pass`]).
+    Pass,
     /// Nothing drained anywhere: charge an idle poll, then yield.
     IdlePoll,
     IdleYield,
@@ -116,9 +150,7 @@ struct Putter {
     gate: LockId,
     wire_latency: u64,
     cur_instance: usize,
-    sweep: Sweep,
-    drained_this_pass: usize,
-    holding_gate: bool,
+    pass: Pass,
     idle: IdleBackoff,
 }
 
@@ -126,48 +158,10 @@ impl Putter {
     fn pick_instance(&self, world: &mut RmaWorld) -> usize {
         self.assignment.pick(self.id, self.instances, &mut world.rr)
     }
-
-    /// Whether this thread's completions can only live on its own
-    /// instance (dedicated assignment injects every put there).
-    fn flush_is_local(&self) -> bool {
-        matches!(self.assignment, SimAssignment::Dedicated)
-    }
-
-    /// Plan a flush pass and put the cursor on its first instance.
-    fn plan_sweep(&mut self, world: &mut RmaWorld, all: bool) {
-        self.drained_this_pass = 0;
-        let plan = if self.flush_is_local() {
-            // Local flush: only the dedicated instance holds our CQEs.
-            Plan::Only(self.id % self.instances)
-        } else if all {
-            Plan::All
-        } else {
-            Plan::From(self.pick_instance(world))
-        };
-        self.sweep = Sweep::new(self.instances, plan);
-        self.cur_instance = self.sweep.current();
-    }
-
-    /// Pop completions from the held instance; returns extraction cost.
-    fn drain(&mut self, world: &mut RmaWorld) -> u64 {
-        let mut n = 0usize;
-        while n < DRAIN_BATCH {
-            match world.cqs[self.cur_instance].pop_front() {
-                Some(owner) => {
-                    world.pending[owner as usize] -= 1;
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        self.drained_this_pass += n;
-        world.spc.add(Counter::CompletionsDrained, n as u64);
-        self.cost.cqe_drain_ns * n as u64
-    }
 }
 
 impl Actor<RmaWorld> for Putter {
-    fn step(&mut self, resume: Resume, _now: u64, world: &mut RmaWorld) -> Action {
+    fn step(&mut self, resume: Resume, now: u64, world: &mut RmaWorld) -> Action {
         loop {
             match self.state {
                 PState::Next => {
@@ -205,95 +199,43 @@ impl Actor<RmaWorld> for Putter {
                         world.spc.inc(Counter::RmaFlushes);
                         return Action::Done;
                     }
-                    // Dedicated assignment: all our completions are on our
-                    // own instance, so flush drains it directly (the BTL's
-                    // local RDMA completion path — this is why the paper
-                    // sees little difference between serial and concurrent
-                    // progress for one-sided traffic).
-                    if self.flush_is_local() {
-                        self.plan_sweep(world, false);
-                        self.state = PState::ConcTried;
-                        return Action::TryLock(self.inst_locks[self.cur_instance]);
-                    }
-                    // Round-robin scattered the completions everywhere; a
-                    // full sweep is needed — serialized behind the global
-                    // gate under serial progress, try-lock based otherwise.
-                    match self.progress {
-                        SimProgress::Serial => {
-                            self.state = PState::GateTried;
-                            return Action::TryLock(self.gate);
+                    let (plan, hold) = match (self.assignment, self.progress) {
+                        // Dedicated assignment: all our completions are on
+                        // our own instance, so flush drains it directly
+                        // (the BTL's local RDMA completion path — this is
+                        // why the paper sees little difference between
+                        // serial and concurrent progress for one-sided
+                        // traffic).
+                        (SimAssignment::Dedicated, _) => {
+                            (Plan::Only(self.id % self.instances), Hold::Free)
                         }
-                        SimProgress::Concurrent => {
-                            self.plan_sweep(world, false);
-                            self.state = PState::ConcTried;
-                            return Action::TryLock(self.inst_locks[self.cur_instance]);
+                        // Round-robin scattered the completions
+                        // everywhere; a full sweep is needed — serialized
+                        // behind the global gate under serial progress.
+                        (SimAssignment::RoundRobin, SimProgress::Serial) => {
+                            (Plan::All, Hold::Gate(self.gate))
                         }
-                    }
-                }
-                PState::GateTried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("gate resume carries a try-lock result");
+                        (SimAssignment::RoundRobin, SimProgress::Concurrent) => {
+                            (Plan::From(self.pick_instance(world)), Hold::Free)
+                        }
                     };
-                    if !got {
-                        self.state = PState::IdlePoll;
-                        continue;
-                    }
-                    // The gate holder blocks on each instance in turn.
-                    self.holding_gate = true;
-                    self.plan_sweep(world, true);
-                    self.state = PState::Drain;
-                    return Action::Lock(self.inst_locks[self.cur_instance]);
+                    self.pass.start(self.instances, plan, hold);
+                    self.state = PState::Pass;
                 }
-                PState::ConcTried => {
-                    let Resume::TryLockResult(got) = resume else {
-                        unreachable!("instance resume carries a try-lock result");
+                PState::Pass => {
+                    let cqs = &mut OriginCqs {
+                        world,
+                        locks: &self.inst_locks,
+                        cqe_drain_ns: self.cost.cqe_drain_ns,
                     };
-                    if !got {
-                        world.spc.inc(Counter::InstanceTryLockFailures);
-                        self.state = PState::NextInstance;
-                        continue;
+                    match self.pass.step(resume, now, cqs) {
+                        Flow::Yield(action) => return action,
+                        Flow::Done(true) => {
+                            self.idle.reset();
+                            self.state = PState::Flush;
+                        }
+                        Flow::Done(false) => self.state = PState::IdlePoll,
                     }
-                    self.state = PState::Drain;
-                }
-                PState::Drain => {
-                    let cost = self.drain(world);
-                    self.state = PState::DrainUnlock;
-                    return Action::Compute(cost.max(1));
-                }
-                PState::DrainUnlock => {
-                    self.state = PState::NextInstance;
-                    return Action::Unlock(self.inst_locks[self.cur_instance]);
-                }
-                PState::NextInstance => {
-                    let Some(next) = self.sweep.next(self.drained_this_pass > 0) else {
-                        self.state = if self.holding_gate {
-                            PState::ReleaseGate
-                        } else if self.drained_this_pass == 0 {
-                            PState::IdlePoll
-                        } else {
-                            PState::Flush
-                        };
-                        continue;
-                    };
-                    self.cur_instance = next;
-                    if self.sweep.falls_back() {
-                        world.spc.inc(Counter::ProgressFallbackSweeps);
-                    }
-                    if self.holding_gate {
-                        self.state = PState::Drain;
-                        return Action::Lock(self.inst_locks[self.cur_instance]);
-                    }
-                    self.state = PState::ConcTried;
-                    return Action::TryLock(self.inst_locks[self.cur_instance]);
-                }
-                PState::ReleaseGate => {
-                    self.holding_gate = false;
-                    self.state = if self.drained_this_pass == 0 {
-                        PState::IdlePoll
-                    } else {
-                        PState::Flush
-                    };
-                    return Action::Unlock(self.gate);
                 }
                 PState::IdlePoll => {
                     self.state = PState::IdleYield;
@@ -349,9 +291,7 @@ impl RmamtSim {
                 gate,
                 wire_latency: cost.wire_latency_ns,
                 cur_instance: 0,
-                sweep: Sweep::default(),
-                drained_this_pass: 0,
-                holding_gate: false,
+                pass: Pass::default(),
                 idle: IdleBackoff::default(),
             }));
         }

@@ -2,7 +2,7 @@
 //! invariants the figures rely on, at reduced scale so `cargo test` stays
 //! fast.
 
-use fairmpi_spc::Counter;
+use fairmpi_spc::{Counter, SpcSnapshot};
 use fairmpi_vsim::workload::multirate::SimMatchLayout;
 use fairmpi_vsim::{
     Machine, MachinePreset, MultirateSim, RmamtSim, SimAssignment, SimDesign, SimProgress,
@@ -234,9 +234,16 @@ fn native_and_virtual_backends_agree_on_semantics() {
 /// deterministic, so a reordered `Action`, a moved RNG draw or a changed
 /// SPC update in any simulated phase moves at least one of these numbers.
 /// Columns: makespan ns, messages received, out-of-sequence messages,
-/// match-time ns.
+/// match-time ns. Every case also keeps the native engine's pass
+/// accounting: each progress call books exactly one useful or wasted pass.
 #[test]
 fn golden_values_pin_every_actor_path() {
+    let books_one_pass_per_call = |name: &str, spc: &SpcSnapshot| {
+        let calls = spc[Counter::ProgressCalls];
+        let passes = spc[Counter::ProgressUsefulPasses] + spc[Counter::ProgressWastedPasses];
+        assert!(calls > 0, "{name}: no progress calls");
+        assert_eq!(passes, calls, "{name}: passes booked vs progress calls");
+    };
     let three = |assignment, progress| SimDesign {
         instances: 3,
         assignment,
@@ -279,6 +286,7 @@ fn golden_values_pin_every_actor_path() {
         .iter()
         .map(|&(name, design)| {
             let r = multirate(4, design);
+            books_one_pass_per_call(name, &r.spc);
             (
                 name,
                 r.makespan_ns,
@@ -316,6 +324,7 @@ fn golden_values_pin_every_actor_path() {
 
     // RMA-MT: makespan ns, puts, flushes.
     let rma = |assignment, progress| {
+        let name = format!("rma {assignment:?} {progress:?}");
         let r = RmamtSim {
             machine: Machine::preset(MachinePreset::TrinititeHaswell),
             threads: 6,
@@ -327,6 +336,7 @@ fn golden_values_pin_every_actor_path() {
             seed: 3,
         }
         .run();
+        books_one_pass_per_call(&name, &r.spc);
         (
             r.makespan_ns,
             r.spc[Counter::RmaPuts],

@@ -65,16 +65,19 @@ cargo test -q --offline --test sync_backends
 cargo test -q --offline --test sync_backends --features trace
 
 echo "== model check (bounded-preemption interleaving exploration) =="
-# Exhaustive DFS over the lock-free core's protocols (offload ring,
-# Algorithm 2 fallback sweep, dedup window, request slab and its free
-# stack, rx ring and its spill hand-off to the overflow list) ...
+# Exhaustive DFS over the lock-free core's protocols (offload ring and
+# its shutdown admission rule: a submitter counts itself in before its
+# shutdown check and out after its push, and a worker exits only once the
+# queue is closed, nobody is admitted and the ring is empty; Algorithm 2
+# fallback sweep, dedup window, request slab and its free stack, rx ring
+# and its spill hand-off to the overflow list) ...
 cargo test -q --offline -p fairmpi-check 2>&1 | tee /tmp/fairmpi_check.log
 refute "FAILED" /tmp/fairmpi_check.log
-# ... and the checker must have teeth: all seven seeded mutant bugs caught
+# ... and the checker must have teeth: all eight seeded mutant bugs caught
 # with reproducible counterexample schedules.
 cargo test --offline -p fairmpi-check --test mutants all_seeded_mutants_caught -- --nocapture \
     > /tmp/fairmpi_mutants.log 2>&1
-grep -q "all 7 seeded mutants caught" /tmp/fairmpi_mutants.log
+grep -q "all 8 seeded mutants caught" /tmp/fairmpi_mutants.log
 
 echo "== fmt =="
 cargo fmt --all --check

@@ -7,6 +7,11 @@ pub fn mean_std(samples: &[f64]) -> (f64, f64) {
     }
     let n = samples.len() as f64;
     let mean = samples.iter().sum::<f64>() / n;
+    // The floating-point mean of equal samples need not be the sample, and
+    // the spread around it would then read as noise where there is none.
+    if samples.iter().all(|&s| s == samples[0]) {
+        return (mean, 0.0);
+    }
     let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n;
     (mean, var.sqrt())
 }
@@ -29,6 +34,19 @@ mod tests {
         assert!((m - 5.0).abs() < 1e-9);
         assert!((s - 2.0).abs() < 1e-9);
         assert_eq!(mean_std(&[]), (0.0, 0.0));
+    }
+
+    #[test]
+    fn identical_samples_have_no_spread() {
+        let sum: f64 = 0.1 + 0.1 + 0.1;
+        assert_ne!(
+            sum / 3.0,
+            0.1,
+            "the mean of these samples is not the sample"
+        );
+        let (m, s) = mean_std(&[0.1, 0.1, 0.1]);
+        assert_eq!(m.to_bits(), (sum / 3.0).to_bits(), "mean unchanged");
+        assert_eq!(s, 0.0);
     }
 
     #[test]

@@ -33,6 +33,9 @@
 //!   which must keep every producer's packets in order,
 //! * the real `fairmpi_chaos::ChaosEngine`: racing senders share its one
 //!   fault stream (no draw repeated or skipped) and its kill fires once.
+//! * the real [`fairmpi_offload::CommandQueue`]'s shutdown hand-off: a
+//!   submission racing the close is either refused or executed before the
+//!   worker exits, never left queued behind it.
 //!
 //! The [`mutants`] module carries deliberately-broken variants of each
 //! algorithm; the test suite asserts the checker produces a reproducible

@@ -8,7 +8,7 @@
 //! evidence that the checker would catch the corresponding real
 //! regression. **Nothing in this module is used by the runtime.**
 //!
-//! The seven seeded bugs:
+//! The eight seeded bugs:
 //!
 //! 1. [`RingBug::PublishBeforeWrite`] — the MPSC ring publishes a slot's
 //!    sequence number before storing the value, so a concurrent consumer
@@ -38,11 +38,19 @@
 //!    short. An empty pop can also mean another producer claimed a ticket
 //!    and has not published it; a packet queued behind that ticket then
 //!    loses to a later packet its own producer spilled.
+//! 8. [`UncountedQueue`] — the offload command queue's shutdown hand-off
+//!    without the admission count: a producer checks the closed flag and
+//!    then pushes, and a worker stops once the queue is closed and empty.
+//!    A push that passed the check before the close can land after the
+//!    worker stopped, and nothing ever executes it.
 
+use crate::{spawn, yield_now};
+use fairmpi_offload::CommandQueue;
 use fairmpi_progress::{Plan, Sweep};
 use fairmpi_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use fairmpi_sync::{Mutex, TicketRing};
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Miniature MPSC ticket ring (mirrors fairmpi_sync::TicketRing)
@@ -499,4 +507,119 @@ impl MiniSpillQueue {
         }
         n + take
     }
+}
+
+// ---------------------------------------------------------------------------
+// Offload command queue shutdown hand-off (mirrors fairmpi_offload::CommandQueue)
+// ---------------------------------------------------------------------------
+
+/// The command queue as [`shutdown_handoff`] drives it, implemented by the
+/// real [`CommandQueue`] and by its [`UncountedQueue`] mutant.
+pub trait Handoff: Send + Sync + 'static {
+    /// Push `value` unless the queue is closed; `false` when refused.
+    fn submit(&self, value: u64) -> bool;
+    /// Move up to `max` values onto `out`; returns how many moved.
+    fn take(&self, out: &mut Vec<u64>, max: usize) -> usize;
+    /// Refuse every push from now on.
+    fn close(&self);
+    /// Whether the worker may stop.
+    fn drained(&self) -> bool;
+}
+
+impl Handoff for CommandQueue<u64> {
+    fn submit(&self, value: u64) -> bool {
+        self.push(value).is_ok()
+    }
+
+    fn take(&self, out: &mut Vec<u64>, max: usize) -> usize {
+        self.pop_batch(out, max)
+    }
+
+    fn close(&self) {
+        CommandQueue::close(self);
+    }
+
+    fn drained(&self) -> bool {
+        CommandQueue::drained(self)
+    }
+}
+
+/// The command queue without its admission count: `submit` checks the
+/// closed flag, then pushes; the worker may stop once the queue is closed
+/// and the ring empty. The seeded bug.
+pub struct UncountedQueue {
+    ring: TicketRing<u64>,
+    closed: AtomicBool,
+}
+
+impl UncountedQueue {
+    /// An open queue of `slots` slots.
+    pub fn new(slots: usize) -> Self {
+        Self {
+            ring: TicketRing::with_capacity(slots),
+            closed: AtomicBool::new(false),
+        }
+    }
+}
+
+impl Handoff for UncountedQueue {
+    fn submit(&self, value: u64) -> bool {
+        if self.closed.load(Ordering::SeqCst) {
+            return false;
+        }
+        // Seeded bug: nothing tells the worker a push is on its way.
+        self.ring.try_push(value).is_ok()
+    }
+
+    fn take(&self, out: &mut Vec<u64>, max: usize) -> usize {
+        self.ring.pop_batch(out, max)
+    }
+
+    fn close(&self) {
+        self.closed.store(true, Ordering::SeqCst);
+    }
+
+    fn drained(&self) -> bool {
+        self.closed.load(Ordering::SeqCst) && self.ring.is_empty()
+    }
+}
+
+/// One submitter, one closer (the `World` drop) and a worker that steps
+/// as the offload worker loop does: drain a batch, and stop when it found
+/// nothing and the queue says it may. Whatever the submitter had accepted
+/// must have been taken by the worker before it stopped, and nothing may
+/// be left queued after.
+pub fn shutdown_handoff(queue: impl Handoff) {
+    let queue = Arc::new(queue);
+    let submitter = {
+        let queue = Arc::clone(&queue);
+        spawn(move || queue.submit(7))
+    };
+    let closer = {
+        let queue = Arc::clone(&queue);
+        spawn(move || queue.close())
+    };
+    let mut executed = Vec::new();
+    let step = |executed: &mut Vec<u64>| queue.take(executed, 2) == 0 && queue.drained();
+    let mut stopped = false;
+    for _ in 0..3 {
+        if step(&mut executed) {
+            stopped = true;
+            break;
+        }
+        yield_now();
+    }
+    let accepted = submitter.join();
+    closer.join();
+    while !stopped {
+        stopped = step(&mut executed);
+    }
+    let mut stranded = Vec::new();
+    queue.take(&mut stranded, 2);
+    assert!(
+        stranded.is_empty(),
+        "command {stranded:?} was queued after the worker stopped"
+    );
+    let expected: &[u64] = if accepted { &[7] } else { &[] };
+    assert_eq!(executed, expected, "an accepted command runs exactly once");
 }

@@ -1,10 +1,11 @@
-//! The checker's own regression suite: seven deliberately seeded
+//! The checker's own regression suite: eight deliberately seeded
 //! concurrency bugs (see `fairmpi_check::mutants`), each of which the
 //! checker must catch with a reproducible counterexample. A checker that
 //! passes correct code proves nothing unless it also fails broken code.
 
 use fairmpi_check::mutants::{
-    MiniFreeList, MiniPool, MiniSlab, MiniSpillQueue, ModelRing, Pop, RacyDedup, RingBug,
+    shutdown_handoff, MiniFreeList, MiniPool, MiniSlab, MiniSpillQueue, ModelRing, Pop, RacyDedup,
+    RingBug, UncountedQueue,
 };
 use fairmpi_check::{assert_reproducible_failure, spawn, yield_now, Checker, Counterexample};
 use fairmpi_sync::atomic::{AtomicU64, Ordering};
@@ -232,6 +233,10 @@ fn spill_queue_without_recheck() {
     spill_queue_scenario(false);
 }
 
+fn offload_check_then_push() {
+    shutdown_handoff(UncountedQueue::new(2));
+}
+
 // --- catchers: explore, then replay the counterexample verbatim ---
 
 fn catch(what: &str, scenario: fn()) -> Counterexample {
@@ -283,11 +288,16 @@ fn mutant_spill_queue_without_recheck_caught() {
     );
 }
 
+#[test]
+fn mutant_offload_check_then_push_caught() {
+    catch("offload check-then-push", offload_check_then_push);
+}
+
 /// The gate ci.sh greps for: every seeded mutant produced a reproducible
 /// counterexample.
 #[test]
 fn all_seeded_mutants_caught() {
-    let mutants: [(&str, fn()); 7] = [
+    let mutants: [(&str, fn()); 8] = [
         ("ring publish-before-write", ring_publish_before_write),
         ("ring ticket-without-CAS", ring_ticket_without_cas),
         ("progress lost-wakeup", progress_lost_wakeup),
@@ -298,12 +308,13 @@ fn all_seeded_mutants_caught() {
             "spill hand-off without re-check",
             spill_queue_without_recheck,
         ),
+        ("offload check-then-push", offload_check_then_push),
     ];
     for (what, scenario) in mutants {
         let ce = catch(what, scenario);
         assert!(!ce.schedule.is_empty(), "counterexample has a schedule");
     }
-    println!("all 7 seeded mutants caught");
+    println!("all 8 seeded mutants caught");
 }
 
 /// The miniature ring with no seeded bug upholds the same properties the

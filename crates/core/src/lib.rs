@@ -82,5 +82,4 @@ pub use world::{World, WorldBuilder};
 // Re-export the vocabulary types users need.
 pub use fairmpi_chaos::{FaultPlan, KillSpec};
 pub use fairmpi_fabric::{CommId, FabricConfig, MachineKind, Rank, Tag, ANY_SOURCE, ANY_TAG};
-pub use fairmpi_offload::{Backpressure, OffloadConfig};
 pub use fairmpi_spc::{Counter, SpcSet, SpcSnapshot};

@@ -110,8 +110,8 @@ pub(crate) struct ProcState {
     pub(crate) big_lock: Mutex<()>,
     pub(crate) windows: Arc<WindowRegistry>,
     /// The software-offload runtime, set at build time when the design has
-    /// `offload_workers > 0` (the engine's workers hold an `Arc` back to
-    /// this state, so it outlives them; `World::drop` runs the shutdown).
+    /// `offload_workers > 0`. Its workers hold an `Arc` to this state until
+    /// `World::drop` shuts them down and joins them.
     pub(crate) offload: OnceLock<OffloadRuntime>,
     /// Ack/retransmit state, present exactly when the design armed a fault
     /// plan. `None` keeps the chaos-free send path bit-identical.
@@ -160,8 +160,9 @@ impl ProcState {
             watchdog: design.chaos.map(|_| Watchdog::new()),
         });
         if design.offload_workers > 0 {
-            let config = crate::offload::offload_config_from_env(design.offload_workers);
-            let _ = state.offload.set(OffloadRuntime::start(&state, config));
+            let _ = state
+                .offload
+                .set(OffloadRuntime::start(&state, design.offload_workers));
         }
         state
     }
@@ -228,7 +229,7 @@ impl ProcState {
     /// for non-offload designs and after shutdown (callers then take the
     /// direct path, so `Proc` handles stay usable after the world drops).
     pub(crate) fn offload_runtime(&self) -> Option<&OffloadRuntime> {
-        self.offload.get().filter(|rt| rt.active())
+        self.offload.get().filter(|rt| !rt.engine.is_shutdown())
     }
 
     /// One raw pass over the progress engine. Offload workers call this
@@ -259,16 +260,6 @@ impl ProcState {
             return 0;
         }
         self.progress_engine()
-    }
-
-    /// What a blocked application thread does per spin: drain completion
-    /// notifications in offload mode, drive the engine otherwise. Returns
-    /// the number of events observed (0 = idle, caller may yield).
-    pub(crate) fn advance(&self) -> usize {
-        match self.offload_runtime() {
-            Some(rt) => rt.poll_completions(),
-            None => self.progress_once(),
-        }
     }
 
     pub(crate) fn validate_rank(&self, rank: Rank) -> Result<()> {
@@ -310,10 +301,10 @@ impl ProcState {
                 data: data.to_vec(),
                 token: 0,
             };
-            if rt.submit_silent(cmd).is_ok() {
+            if rt.engine.submit(cmd).is_ok() {
                 return;
             }
-            // Refused (fail-fast backpressure or shutdown): apply inline.
+            // Refused (shutdown): apply inline.
         }
         let _big = self.maybe_big_lock();
         let guard = self.rma_inject(data.len());
@@ -417,17 +408,9 @@ impl ProcState {
                 target,
                 token,
             };
-            if rt.submit(cmd).is_ok() {
-                let mut idle_spins = 0u32;
+            if rt.engine.submit(cmd).is_ok() {
                 while self.requests.is_done(token) == Some(false) {
-                    if rt.poll_completions() == 0 {
-                        idle_spins += 1;
-                        if idle_spins > 64 {
-                            std::thread::yield_now();
-                        }
-                    } else {
-                        idle_spins = 0;
-                    }
+                    std::thread::yield_now();
                 }
                 let _ = self.requests.try_reap(token);
                 // The backend counted RmaFlushes at completion.

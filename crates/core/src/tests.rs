@@ -734,3 +734,31 @@ fn offload_world_drop_joins_workers_and_handles_stay_usable() {
     p0.send(b"post-drop", 1, 9, comm).unwrap();
     assert_eq!(p1.recv(64, 0, 9, comm).unwrap().data, b"post-drop");
 }
+
+/// An offload world frees its ranks' state when it drops: the workers hold
+/// the state only until `World::drop` joins them, and nothing the state
+/// owns points back at it.
+#[test]
+fn offload_world_frees_its_rank_state_on_drop() {
+    let world = two_rank_world(DesignConfig::builder().offload(1).build().unwrap());
+    let comm = world.comm_world();
+    let p0 = world.proc(0);
+    let p1 = world.proc(1);
+    let states = [Arc::downgrade(&p0.state), Arc::downgrade(&p1.state)];
+    let t = std::thread::spawn(move || {
+        p0.send(b"ping", 1, 0, comm).unwrap();
+        p0.recv(8, 1, 1, comm).unwrap()
+    });
+    let msg = p1.recv(8, 0, 0, comm).unwrap();
+    p1.send(&msg.data, 0, 1, comm).unwrap();
+    assert_eq!(t.join().unwrap().data, b"ping");
+    drop(p1);
+    drop(world);
+    for (rank, state) in states.iter().enumerate() {
+        assert_eq!(
+            state.strong_count(),
+            0,
+            "rank {rank}'s state outlived its world"
+        );
+    }
+}

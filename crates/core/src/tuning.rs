@@ -65,10 +65,9 @@ pub const CVARS: &[CvarInfo] = &[
     CvarInfo {
         name: "offload_workers",
         description: "Dedicated communication (offload) worker threads per \
-                      rank; 0 disables offload. With offload on, see also \
-                      the runtime keys FAIRMPI_OFFLOAD_QUEUE_CAPACITY, \
-                      FAIRMPI_OFFLOAD_BATCH_LIMIT and \
-                      FAIRMPI_OFFLOAD_BACKPRESSURE (spin|yield|try_again).",
+                      rank; 0 disables offload. Application threads then \
+                      enqueue descriptors on a 1024-slot command queue, \
+                      yielding while it is full.",
         values: &[],
     },
 ];

@@ -208,15 +208,17 @@ impl Drop for World {
     /// workers enter their drain together and cross-rank traffic keeps
     /// being co-progressed), then join them. No accepted command is lost;
     /// `Proc` handles outliving the world fall back to the direct path.
+    /// The joined workers drop their hold on each rank's state, which is
+    /// then freed with its last handle.
     fn drop(&mut self) {
         for p in &self.procs {
             if let Some(rt) = p.offload.get() {
-                rt.begin_shutdown();
+                rt.engine.begin_shutdown();
             }
         }
         for p in &self.procs {
             if let Some(rt) = p.offload.get() {
-                rt.join();
+                rt.engine.join();
             }
         }
     }

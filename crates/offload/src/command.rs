@@ -1,9 +1,7 @@
-//! Command descriptors and the completion notification queue.
+//! Command descriptors.
 
 use fairmpi_fabric::{Packet, Rank};
 use fairmpi_matching::PostedRecv;
-
-use fairmpi_sync::TicketRing;
 
 /// One communication descriptor enqueued by an application thread and
 /// executed by an offload worker against the real CRI/matching/fabric
@@ -72,49 +70,6 @@ impl Command {
     }
 }
 
-/// A per-thread completion notification queue.
-///
-/// Workers push the tokens of finished commands; the owning application
-/// thread polls it from `wait`/`test` without taking any lock. The queue is
-/// a *notification* channel, not the ground truth: the request's atomic
-/// status is authoritative, so a notification that finds the ring full is
-/// dropped rather than stalling the worker (the producer still observes
-/// completion through the status word).
-#[derive(Debug)]
-pub struct CompletionQueue {
-    ring: TicketRing<u64>,
-}
-
-impl CompletionQueue {
-    /// A queue holding at least `capacity` pending notifications.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            ring: TicketRing::with_capacity(capacity),
-        }
-    }
-
-    /// Post a completed token; `false` means the ring was full and the
-    /// notification was dropped (never blocks the worker).
-    pub fn notify(&self, token: u64) -> bool {
-        self.ring.try_push(token).is_ok()
-    }
-
-    /// Take one pending notification.
-    pub fn poll(&self) -> Option<u64> {
-        self.ring.try_pop()
-    }
-
-    /// Notifications currently pending.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether no notification is pending.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,18 +116,5 @@ mod tests {
             token: 11,
         };
         assert_eq!(flush.token(), 11);
-    }
-
-    #[test]
-    fn completion_queue_is_lossy_when_full() {
-        let cq = CompletionQueue::new(2);
-        assert!(cq.notify(1));
-        assert!(cq.notify(2));
-        assert!(!cq.notify(3), "full ring drops, never blocks");
-        assert_eq!(cq.poll(), Some(1));
-        assert!(cq.notify(3), "freed slot accepts again");
-        assert_eq!(cq.poll(), Some(2));
-        assert_eq!(cq.poll(), Some(3));
-        assert_eq!(cq.poll(), None);
     }
 }

@@ -1,17 +1,15 @@
-//! Offload worker threads: batch-drain the command queue, execute against
-//! the real engine, notify completions.
+//! Offload worker threads: batch-drain the command queue and execute
+//! against the real engine.
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-
-use fairmpi_sync::atomic::{AtomicBool, Ordering};
-use fairmpi_sync::{Mutex, QueueFull, TicketRing};
 use std::time::Duration;
 
 use fairmpi_spc::{Counter, SpcSet, Watermark};
+use fairmpi_sync::Mutex;
 
-use crate::command::{Command, CompletionQueue};
-use crate::queue::Backpressure;
+use crate::command::Command;
+use crate::queue::CommandQueue;
 
 /// How the offload crate reaches the real CRI/matching/fabric machinery.
 ///
@@ -37,58 +35,21 @@ pub trait OffloadBackend: Send + Sync + 'static {
     fn is_complete(&self, token: u64) -> bool;
 }
 
-/// Tuning knobs of one offload engine (surfaced as `FAIRMPI_OFFLOAD_*`
-/// control variables by the core crate).
-#[derive(Debug, Clone, Copy)]
-pub struct OffloadConfig {
-    /// Number of dedicated communication (worker) threads.
-    pub workers: usize,
-    /// Command-queue capacity (rounded up to a power of two).
-    pub queue_capacity: usize,
-    /// Maximum commands a worker drains per batch.
-    pub batch_limit: usize,
-    /// Producer behavior when the command queue is full.
-    pub backpressure: Backpressure,
-}
-
-impl Default for OffloadConfig {
-    fn default() -> Self {
-        Self {
-            workers: 1,
-            queue_capacity: 1024,
-            batch_limit: 32,
-            backpressure: Backpressure::Yield,
-        }
-    }
-}
-
-/// Why a submission was refused.
-#[derive(Debug)]
-pub enum SubmitError {
-    /// The queue was full under [`Backpressure::TryAgain`]; the command is
-    /// handed back for the caller to retry or reroute.
-    WouldBlock(Command),
-    /// The engine has begun shutting down; the caller should take the
-    /// direct path.
-    Shutdown(Command),
-}
-
-/// A command travelling with its producer's completion queue.
-struct Sealed {
-    cmd: Command,
-    reply: Option<Arc<CompletionQueue>>,
-}
+/// Command-queue slots (a power of two).
+pub const QUEUE_CAPACITY: usize = 1024;
+/// Most commands a worker drains per batch.
+pub const BATCH_LIMIT: usize = 32;
 
 /// The engine: one command queue, N worker threads.
 ///
 /// Shutdown is a drain, not an abort: workers first empty the command
-/// queue (every accepted command is executed), then run a bounded number
-/// of grace progress passes so in-flight completions land, then exit.
+/// queue (every accepted command is executed, see [`CommandQueue`] for the
+/// admission rule that makes "accepted" and "executed" agree), then run a
+/// bounded number of grace progress passes so in-flight completions land,
+/// then exit.
 pub struct OffloadEngine {
-    queue: Arc<TicketRing<Sealed>>,
-    shutdown: Arc<AtomicBool>,
+    queue: Arc<CommandQueue<Command>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    config: OffloadConfig,
     spc: Arc<SpcSet>,
 }
 
@@ -104,70 +65,39 @@ const IDLE_NAP: Duration = Duration::from_micros(20);
 const DRAIN_GRACE: u32 = 10_000;
 
 impl OffloadEngine {
-    /// Spawn `config.workers` worker threads over `backend`.
-    pub fn start<B: OffloadBackend>(
-        config: OffloadConfig,
-        backend: Arc<B>,
-        spc: Arc<SpcSet>,
-    ) -> Arc<Self> {
-        let queue = Arc::new(TicketRing::with_capacity(config.queue_capacity.max(2)));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let workers = (0..config.workers.max(1))
+    /// Spawn `workers` worker threads (at least one) over `backend`. Only
+    /// the workers hold `backend`: joining them releases it.
+    pub fn start<B: OffloadBackend>(workers: usize, backend: Arc<B>, spc: Arc<SpcSet>) -> Self {
+        let queue = Arc::new(CommandQueue::with_capacity(QUEUE_CAPACITY));
+        let workers = (0..workers.max(1))
             .map(|i| {
                 let queue = Arc::clone(&queue);
-                let shutdown = Arc::clone(&shutdown);
                 let backend = Arc::clone(&backend);
                 let spc = Arc::clone(&spc);
-                let batch_limit = config.batch_limit.max(1);
                 std::thread::Builder::new()
                     .name(format!("fairmpi-offload-{i}"))
-                    .spawn(move || worker_loop(&queue, &*backend, &spc, &shutdown, batch_limit))
+                    .spawn(move || worker_loop(&queue, &*backend, &spc))
                     .expect("spawn offload worker")
             })
             .collect();
-        Arc::new(Self {
+        Self {
             queue,
-            shutdown,
             workers: Mutex::new(workers),
-            config,
             spc,
-        })
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &OffloadConfig {
-        &self.config
+        }
     }
 
     /// Whether shutdown has begun (submissions are refused).
     pub fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+        self.queue.is_closed()
     }
 
-    /// Enqueue one command. `reply` (the producer's completion queue)
-    /// receives the token once the command completes.
-    pub fn submit(
-        &self,
-        cmd: Command,
-        reply: Option<&Arc<CompletionQueue>>,
-    ) -> Result<(), SubmitError> {
-        if self.is_shutdown() {
-            return Err(SubmitError::Shutdown(cmd));
-        }
-        let sealed = Sealed {
-            cmd,
-            reply: reply.map(Arc::clone),
-        };
-        match self.config.backpressure.push(&self.queue, sealed) {
-            Ok(stalled) => {
-                if stalled {
-                    self.spc.inc(Counter::OffloadBackpressureStalls);
-                }
-            }
-            Err(QueueFull(sealed)) => {
-                self.spc.inc(Counter::OffloadBackpressureStalls);
-                return Err(SubmitError::WouldBlock(sealed.cmd));
-            }
+    /// Enqueue one command. A full queue makes the caller yield and retry;
+    /// once shutdown has begun the command is handed back for the caller
+    /// to run on the direct path.
+    pub fn submit(&self, cmd: Command) -> Result<(), Command> {
+        if self.queue.push(cmd)? {
+            self.spc.inc(Counter::OffloadBackpressureStalls);
         }
         self.spc.inc(Counter::OffloadCommands);
         self.spc
@@ -178,7 +108,7 @@ impl OffloadEngine {
     /// Signal shutdown without waiting (submissions start failing; workers
     /// begin their drain).
     pub fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.queue.close();
     }
 
     /// Wait for every worker to finish its drain and exit.
@@ -202,35 +132,28 @@ impl Drop for OffloadEngine {
     }
 }
 
-fn worker_loop(
-    queue: &TicketRing<Sealed>,
-    backend: &dyn OffloadBackend,
-    spc: &SpcSet,
-    shutdown: &AtomicBool,
-    batch_limit: usize,
-) {
-    let mut batch: Vec<Sealed> = Vec::with_capacity(batch_limit);
-    let mut inflight: Vec<(u64, Option<Arc<CompletionQueue>>)> = Vec::new();
+fn worker_loop(queue: &CommandQueue<Command>, backend: &dyn OffloadBackend, spc: &SpcSet) {
+    let mut batch = Vec::with_capacity(BATCH_LIMIT);
+    // Tokens of executed commands whose requests have not completed yet.
+    let mut inflight: Vec<u64> = Vec::new();
     let mut idle = 0u32;
     loop {
-        batch.clear();
-        let drained = queue.pop_batch(&mut batch, batch_limit);
+        let drained = queue.pop_batch(&mut batch, BATCH_LIMIT);
         if drained > 0 {
             spc.inc(Counter::OffloadBatches);
             idle = 0;
         }
-        for sealed in batch.drain(..) {
-            let token = sealed.cmd.token();
-            backend.execute(sealed.cmd);
-            inflight.push((token, sealed.reply));
+        for cmd in batch.drain(..) {
+            inflight.push(cmd.token());
+            backend.execute(cmd);
         }
         let progressed = backend.progress();
         if progressed > 0 {
             idle = 0;
         }
-        reap(backend, &mut inflight);
+        inflight.retain(|&token| !backend.is_complete(token));
         if drained == 0 && progressed == 0 {
-            if shutdown.load(Ordering::Acquire) && queue.is_empty() {
+            if queue.drained() {
                 drain_inflight(backend, &mut inflight);
                 return;
             }
@@ -246,26 +169,9 @@ fn worker_loop(
     }
 }
 
-/// Notify and drop every in-flight entry whose request completed.
-fn reap(backend: &dyn OffloadBackend, inflight: &mut Vec<(u64, Option<Arc<CompletionQueue>>)>) {
-    inflight.retain(|(token, reply)| {
-        if backend.is_complete(*token) {
-            if let Some(q) = reply {
-                q.notify(*token);
-            }
-            false
-        } else {
-            true
-        }
-    });
-}
-
 /// Shutdown tail: every accepted command has been executed; give their
 /// completions a bounded window to land before exiting.
-fn drain_inflight(
-    backend: &dyn OffloadBackend,
-    inflight: &mut Vec<(u64, Option<Arc<CompletionQueue>>)>,
-) {
+fn drain_inflight(backend: &dyn OffloadBackend, inflight: &mut Vec<u64>) {
     let mut quiet = 0u32;
     while !inflight.is_empty() && quiet < DRAIN_GRACE {
         if backend.progress() == 0 {
@@ -274,7 +180,7 @@ fn drain_inflight(
         } else {
             quiet = 0;
         }
-        reap(backend, inflight);
+        inflight.retain(|&token| !backend.is_complete(token));
     }
 }
 
@@ -282,16 +188,17 @@ fn drain_inflight(
 mod tests {
     use super::*;
     use fairmpi_fabric::{Envelope, Packet};
-    use fairmpi_sync::atomic::AtomicU64;
-    use std::collections::HashSet;
+    use fairmpi_sync::atomic::{AtomicBool, Ordering};
 
     /// Backend that records executed tokens and completes each one after
-    /// `latency` progress passes.
+    /// `latency` progress passes. While `open` is false, `execute` blocks
+    /// and raises `blocked`.
     struct MockBackend {
         executed: Mutex<Vec<u64>>,
         pending: Mutex<Vec<(u64, u32)>>,
         latency: u32,
-        progress_calls: AtomicU64,
+        open: AtomicBool,
+        blocked: AtomicBool,
     }
 
     impl MockBackend {
@@ -300,20 +207,24 @@ mod tests {
                 executed: Mutex::new(Vec::new()),
                 pending: Mutex::new(Vec::new()),
                 latency,
-                progress_calls: AtomicU64::new(0),
+                open: AtomicBool::new(true),
+                blocked: AtomicBool::new(false),
             }
         }
     }
 
     impl OffloadBackend for MockBackend {
         fn execute(&self, cmd: Command) {
+            while !self.open.load(Ordering::Acquire) {
+                self.blocked.store(true, Ordering::Release);
+                std::thread::yield_now();
+            }
             let token = cmd.token();
             self.executed.lock().push(token);
             self.pending.lock().push((token, self.latency));
         }
 
         fn progress(&self) -> usize {
-            self.progress_calls.fetch_add(1, Ordering::Relaxed);
             let mut done = 0;
             let mut pending = self.pending.lock();
             for entry in pending.iter_mut() {
@@ -353,30 +264,16 @@ mod tests {
     }
 
     #[test]
-    fn commands_execute_and_notify_the_producer_queue() {
+    fn commands_execute_and_complete() {
         let backend = Arc::new(MockBackend::new(2));
         let spc = Arc::new(SpcSet::new());
-        let engine = OffloadEngine::start(
-            OffloadConfig {
-                workers: 2,
-                ..OffloadConfig::default()
-            },
-            Arc::clone(&backend),
-            Arc::clone(&spc),
-        );
-        let cq = Arc::new(CompletionQueue::new(64));
+        let engine = OffloadEngine::start(2, Arc::clone(&backend), Arc::clone(&spc));
         for t in 1..=20u64 {
-            engine.submit(send_cmd(t), Some(&cq)).unwrap();
+            engine.submit(send_cmd(t)).unwrap();
         }
-        let mut seen = HashSet::new();
-        while seen.len() < 20 {
-            if let Some(t) = cq.poll() {
-                seen.insert(t);
-            } else {
-                std::thread::yield_now();
-            }
+        while backend.executed.lock().len() < 20 || !(1..=20).all(|t| backend.is_complete(t)) {
+            std::thread::yield_now();
         }
-        assert_eq!(seen.len(), 20);
         assert_eq!(spc.get(Counter::OffloadCommands), 20);
         assert!(spc.get(Counter::OffloadBatches) >= 1);
         assert!(spc.watermark(Watermark::OffloadQueueDepth).high() >= 1);
@@ -386,57 +283,65 @@ mod tests {
     #[test]
     fn shutdown_drains_every_accepted_command() {
         let backend = Arc::new(MockBackend::new(1));
-        let spc = Arc::new(SpcSet::new());
-        let engine = OffloadEngine::start(
-            OffloadConfig::default(),
-            Arc::clone(&backend),
-            Arc::clone(&spc),
-        );
+        let engine = OffloadEngine::start(1, Arc::clone(&backend), Arc::new(SpcSet::new()));
         for t in 1..=500u64 {
-            engine.submit(send_cmd(t), None).unwrap();
+            engine.submit(send_cmd(t)).unwrap();
         }
         engine.shutdown();
-        let executed = backend.executed.lock();
-        assert_eq!(executed.len(), 500, "no accepted command is lost");
+        assert_eq!(
+            backend.executed.lock().len(),
+            500,
+            "no accepted command is lost"
+        );
         // Submissions after shutdown are refused, command handed back.
-        match engine.submit(send_cmd(501), None) {
-            Err(SubmitError::Shutdown(cmd)) => assert_eq!(cmd.token(), 501),
-            other => panic!("expected Shutdown, got {other:?}"),
-        }
+        let refused = engine.submit(send_cmd(501)).unwrap_err();
+        assert_eq!(refused.token(), 501);
+        assert_eq!(
+            Arc::strong_count(&backend),
+            1,
+            "joined workers release the backend"
+        );
     }
 
+    /// With the only worker blocked in `execute`, it holds at most one
+    /// batch and the ring the rest: one command more than both can take
+    /// must stall its submitter, and every command still runs once the
+    /// worker moves again.
     #[test]
-    fn try_again_backpressure_fails_fast_and_counts() {
-        // A tiny queue and a backend whose completions never land until
-        // many progress passes, so the queue genuinely fills.
-        let backend = Arc::new(MockBackend::new(u32::MAX));
+    fn a_full_queue_stalls_the_submitter_until_a_worker_drains() {
+        const N: u64 = (QUEUE_CAPACITY + BATCH_LIMIT + 1) as u64;
+        let backend = Arc::new(MockBackend::new(1));
+        backend.open.store(false, Ordering::Release);
         let spc = Arc::new(SpcSet::new());
-        let engine = OffloadEngine::start(
-            OffloadConfig {
-                workers: 1,
-                queue_capacity: 2,
-                batch_limit: 1,
-                backpressure: Backpressure::TryAgain,
-            },
+        let engine = Arc::new(OffloadEngine::start(
+            1,
             Arc::clone(&backend),
             Arc::clone(&spc),
-        );
-        // Race the single worker: keep pushing until a WouldBlock surfaces.
-        let mut rejected = None;
-        for t in 1..=10_000u64 {
-            match engine.submit(send_cmd(t), None) {
-                Ok(()) => {}
-                Err(SubmitError::WouldBlock(cmd)) => {
-                    rejected = Some(cmd);
-                    break;
+        ));
+        let submitter = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                for t in 1..=N {
+                    engine.submit(send_cmd(t)).unwrap();
                 }
-                Err(other) => panic!("unexpected {other:?}"),
-            }
+            })
+        };
+        // A full ring behind a blocked worker: the submitter has at least
+        // one command left, and it cannot land until the worker moves.
+        while !backend.blocked.load(Ordering::Acquire) || engine.queue.len() < QUEUE_CAPACITY {
+            std::thread::yield_now();
         }
-        let rejected = rejected.expect("a 2-slot queue must eventually reject");
-        assert!(rejected.token() > 0);
+        backend.open.store(true, Ordering::Release);
+        submitter.join().unwrap();
+        engine.shutdown();
         assert!(spc.get(Counter::OffloadBackpressureStalls) >= 1);
-        engine.begin_shutdown();
-        engine.join();
+        assert_eq!(spc.get(Counter::OffloadCommands), N);
+        let mut executed = backend.executed.lock().clone();
+        executed.sort_unstable();
+        assert_eq!(
+            executed,
+            (1..=N).collect::<Vec<_>>(),
+            "each command ran once"
+        );
     }
 }

@@ -8,18 +8,19 @@
 //! the NIC or the matching locks at all. This crate is that fourth design
 //! axis:
 //!
-//! * a bounded lock-free MPSC **command queue** — the workspace's
-//!   [`fairmpi_sync::TicketRing`] (cache-padded slots, seqlock-style
-//!   tickets) — with a configurable [`Backpressure`] policy (spin, yield,
-//!   fail-fast `TryAgain`);
+//! * [`CommandQueue`] — a bounded lock-free MPSC queue of
+//!   [`QUEUE_CAPACITY`] slots (the workspace's [`fairmpi_sync::TicketRing`]:
+//!   cache-padded slots, seqlock-style tickets) whose producers yield and
+//!   retry while it is full, and whose admission count lets shutdown
+//!   close it without stranding a push;
 //! * [`Command`] — send/recv/put/flush descriptors carrying everything a
-//!   worker needs, plus the per-thread [`CompletionQueue`] that
-//!   `wait`/`test` poll without locks;
-//! * [`OffloadEngine`] — worker threads that batch-drain commands, execute
-//!   them through an [`OffloadBackend`] (the real CRI/matching/fabric
-//!   engine in `fairmpi`; each worker ends up owning a dedicated CRI via
-//!   the pool's thread-local assignment, so workers never contend), and
-//!   notify completions.
+//!   worker needs; the producer waits on the request's status word, which
+//!   the worker's execution completes;
+//! * [`OffloadEngine`] — worker threads that drain up to [`BATCH_LIMIT`]
+//!   commands at a time and execute them through an [`OffloadBackend`]
+//!   (the real CRI/matching/fabric engine in `fairmpi`; each worker ends up
+//!   owning a dedicated CRI via the pool's thread-local assignment, so
+//!   workers never contend).
 //!
 //! The four SPC probes — `offload_commands`, `offload_batches`,
 //! `offload_queue_depth` (watermark), `offload_backpressure_stalls` — feed
@@ -33,6 +34,6 @@ mod command;
 mod engine;
 mod queue;
 
-pub use command::{Command, CompletionQueue};
-pub use engine::{OffloadBackend, OffloadConfig, OffloadEngine, SubmitError};
-pub use queue::Backpressure;
+pub use command::Command;
+pub use engine::{OffloadBackend, OffloadEngine, BATCH_LIMIT, QUEUE_CAPACITY};
+pub use queue::CommandQueue;

@@ -15,6 +15,7 @@ use fairmpi_chaos::{retransmit_backoff_ns, ChaosEngine, DedupWindow, Delivery, F
 
 use fairmpi_fabric::{Envelope, Packet, ANY_TAG};
 use fairmpi_matching::{MatchEvent, Matcher, PostOutcome, PostedRecv, SendSequencer};
+use fairmpi_offload::QUEUE_CAPACITY;
 use fairmpi_progress::Plan;
 use fairmpi_spc::{Counter, SpcSet, SpcSnapshot, Watermark};
 
@@ -171,11 +172,6 @@ pub struct MultirateResult {
 // Shared world
 // ---------------------------------------------------------------------
 
-/// Simulated offload command-queue capacity (the native default of
-/// `fairmpi_offload::OffloadConfig`). Enqueues against a full queue stall
-/// and count [`Counter::OffloadBackpressureStalls`].
-const OFFLOAD_QUEUE_CAP: usize = 1024;
-
 fn pack(comm: u32, tag: u16, seq: u64) -> u64 {
     debug_assert!(comm < 1 << 15, "too many communicators to pack");
     debug_assert!(seq < 1 << 32, "sequence number overflows packing");
@@ -266,10 +262,11 @@ impl MrWorld {
 }
 
 /// Lock-free enqueue of one offload command (the whole point: no lock
-/// action here). Returns false — after counting a backpressure stall —
-/// when the queue is full.
+/// action here) onto a queue of the native engine's
+/// [`QUEUE_CAPACITY`]. Returns false — after counting a backpressure
+/// stall — when the queue is full.
 fn offload_enqueue<T>(queue: &mut VecDeque<T>, spc: &SpcSet, cmd: T) -> bool {
-    if queue.len() >= OFFLOAD_QUEUE_CAP {
+    if queue.len() >= QUEUE_CAPACITY {
         spc.inc(Counter::OffloadBackpressureStalls);
         return false;
     }

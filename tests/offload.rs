@@ -2,14 +2,9 @@
 //! workers fed by lock-free command queues) against the direct path,
 //! through the full native stack with real OS threads.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use fairmpi::{Counter, DesignConfig, FaultPlan, MpiError, World};
-
-/// Builds that touch the `FAIRMPI_OFFLOAD_*` process environment serialize
-/// here so a concurrently running test never builds its world under a
-/// surprise queue capacity.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// Run `producers` sender threads on rank 0 (each a private tag stream)
 /// against one receiver on rank 1; return the payloads per stream in
@@ -51,7 +46,6 @@ fn producer_streams(design: DesignConfig, producers: u32, per_producer: u32) -> 
 /// even though several workers inject and match concurrently.
 #[test]
 fn offload_matches_the_direct_path_and_preserves_ordering() {
-    let _env = ENV_LOCK.lock().unwrap();
     let direct = producer_streams(DesignConfig::builder().proposed(2).build().unwrap(), 4, 50);
     let offload = producer_streams(DesignConfig::builder().offload(2).build().unwrap(), 4, 50);
     for (t, stream) in offload.iter().enumerate() {
@@ -68,56 +62,12 @@ fn offload_matches_the_direct_path_and_preserves_ordering() {
     assert_eq!(direct, offload, "offload and direct paths diverged");
 }
 
-/// A command queue smaller than the in-flight window forces the default
-/// Yield backpressure policy to stall submitters until workers drain slots
-/// — every message must still be delivered, and the stalls must show up in
-/// the `offload_backpressure_stalls` probe.
-#[test]
-fn backpressure_with_queue_smaller_than_inflight_window() {
-    let _env = ENV_LOCK.lock().unwrap();
-    std::env::set_var("FAIRMPI_OFFLOAD_QUEUE_CAPACITY", "4");
-    let world = World::builder()
-        .ranks(2)
-        .design(DesignConfig::builder().offload(1).build().unwrap())
-        .build();
-    std::env::remove_var("FAIRMPI_OFFLOAD_QUEUE_CAPACITY");
-    let comm = world.comm_world();
-    let p0 = world.proc(0);
-    let p1 = world.proc(1);
-    const WINDOW: u32 = 64;
-    let recvs: Vec<_> = (0..WINDOW)
-        .map(|_| p1.irecv(8, 0, 0, comm).unwrap())
-        .collect();
-    let t = std::thread::spawn(move || {
-        // 64 nonblocking sends against 4 queue slots: the submitter must
-        // block-and-retry inside isend, never observe a failure.
-        let sends: Vec<_> = (0..WINDOW)
-            .map(|i| p0.isend(&i.to_le_bytes(), 1, 0, comm).unwrap())
-            .collect();
-        for s in &sends {
-            p0.wait(s).unwrap();
-        }
-    });
-    let msgs = p1.waitall(&recvs).unwrap();
-    for (i, m) in msgs.iter().enumerate() {
-        assert_eq!(m.data, (i as u32).to_le_bytes());
-    }
-    t.join().unwrap();
-    let spc = world.spc_merged();
-    assert_eq!(spc[Counter::MessagesReceived], u64::from(WINDOW));
-    assert!(
-        spc[Counter::OffloadBackpressureStalls] >= 1,
-        "a 4-slot queue under a 64-message burst must stall at least once"
-    );
-}
-
 /// Dropping the `World` while commands are still queued must drain them —
 /// the two-phase shutdown first stops admissions, then lets every worker
 /// finish its backlog before joining. Requests submitted before the drop
 /// remain completable afterwards through the direct-path fallback.
 #[test]
 fn world_drop_drains_queued_commands_without_loss() {
-    let _env = ENV_LOCK.lock().unwrap();
     const N: u32 = 100;
     let world = World::builder()
         .ranks(2)
@@ -159,7 +109,6 @@ fn world_drop_drains_queued_commands_without_loss() {
 /// on the direct path after the workers are gone.
 #[test]
 fn world_drop_terminates_when_a_context_dies_mid_drain() {
-    let _env = ENV_LOCK.lock().unwrap();
     const N: u32 = 100;
     let plan = FaultPlan::seeded(37).kill(1, 0, 30).timeout_ns(50_000);
     let world = World::builder()
@@ -205,7 +154,6 @@ fn world_drop_terminates_when_a_context_dies_mid_drain() {
 /// goes to a fresh receive instead of the cancelled one.
 #[test]
 fn cancel_right_after_irecv_finds_the_receive_before_a_worker_posts_it() {
-    let _env = ENV_LOCK.lock().unwrap();
     let world = World::builder()
         .ranks(2)
         .design(DesignConfig::builder().offload(1).build().unwrap())

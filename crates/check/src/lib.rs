@@ -31,6 +31,9 @@
 //! * a real network context's rx ring: wire posts racing the owner's
 //!   batch drain, and on a 2-slot ring the hand-off of spilled packets,
 //!   which must keep every producer's packets in order,
+//! * a real CRI's completion queue: posts under the instance lock racing
+//!   [`fairmpi_progress::ProgressEngine`] passes, each completion handled
+//!   once and the lock-free in-flight count back at zero,
 //! * the real `fairmpi_chaos::ChaosEngine`: racing senders share its one
 //!   fault stream (no draw repeated or skipped) and its kill fires once.
 //! * the real [`fairmpi_offload::CommandQueue`]'s shutdown hand-off: a

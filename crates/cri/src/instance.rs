@@ -6,29 +6,25 @@ use fairmpi_fabric::{
     busy_wait_ns, Completion, CompletionKind, DrainGuard, Fabric, NetworkContext, Packet,
 };
 use fairmpi_spc::{Counter, SpcSet, Watermark};
-use fairmpi_sync::{Mutex, MutexGuard};
 
 /// One communication resources instance: a network context (with its rx
-/// ring and completion queue) plus the lock that protects it.
+/// ring and completion queue) and the lock that protects it, which is the
+/// context's own.
 ///
-/// Contention observability comes from the sync facade: the lock is a
-/// [`fairmpi_sync::Mutex::named`] instance, so under the `traced` backend
-/// every acquire latency, hold time, and try-lock failure lands in
-/// fairmpi-trace without any hand-rolled hooks here.
+/// Contention observability comes from the sync facade: the context's lock
+/// is a [`fairmpi_sync::Mutex::named`] instance (`cri.instance[k]`), so
+/// under the `traced` backend every acquire latency, hold time, and
+/// try-lock failure lands in fairmpi-trace without any hand-rolled hooks
+/// here.
 #[derive(Debug)]
 pub struct Cri {
     index: usize,
     context: Arc<NetworkContext>,
-    lock: Mutex<()>,
 }
 
 impl Cri {
     pub(crate) fn new(index: usize, context: Arc<NetworkContext>) -> Self {
-        Self {
-            index,
-            context,
-            lock: Mutex::named((), move || format!("cri.instance[{index}]")),
-        }
+        Self { index, context }
     }
 
     /// Position of this instance in its pool (== its context index).
@@ -60,12 +56,9 @@ impl Cri {
     /// Acquire the instance, blocking on contention (paper Algorithm 1's
     /// `LOCK(instance[k] → lock)`).
     pub fn lock<'a>(&'a self, spc: &SpcSet) -> CriGuard<'a> {
-        let guard = self.lock.lock();
+        let drain = self.context.lock();
         spc.inc(Counter::InstanceLockAcquisitions);
-        CriGuard {
-            cri: self,
-            _lock: guard,
-        }
+        CriGuard { cri: self, drain }
     }
 
     /// Try to acquire the instance without blocking.
@@ -74,13 +67,10 @@ impl Cri {
     /// *"we can be certain that a thread is progressing that particular code
     /// path, and therefore, the current thread can move on"*.
     pub fn try_lock<'a>(&'a self, spc: &SpcSet) -> Option<CriGuard<'a>> {
-        match self.lock.try_lock() {
-            Some(guard) => {
+        match self.context.try_lock() {
+            Some(drain) => {
                 spc.inc(Counter::InstanceLockAcquisitions);
-                Some(CriGuard {
-                    cri: self,
-                    _lock: guard,
-                })
+                Some(CriGuard { cri: self, drain })
             }
             None => {
                 spc.inc(Counter::InstanceTryLockFailures);
@@ -92,13 +82,13 @@ impl Cri {
 
 /// Exclusive access to one instance: the only way to inject or drain.
 ///
-/// Holding the guard is what the fabric's drain discipline requires; all
-/// per-message hardware costs (injection overhead) are charged while the
-/// guard is held, so lock contention in the runtime behaves like contention
-/// on the real NIC resource.
+/// The guard holds the context's own lock, so posting a completion or
+/// draining takes no second one. All per-message hardware costs (injection
+/// overhead) are charged while the guard is held, so lock contention in the
+/// runtime behaves like contention on the real NIC resource.
 pub struct CriGuard<'a> {
     cri: &'a Cri,
-    _lock: MutexGuard<'a, ()>,
+    drain: DrainGuard<'a>,
 }
 
 impl<'a> CriGuard<'a> {
@@ -119,16 +109,15 @@ impl<'a> CriGuard<'a> {
             cfg.injection_overhead_ns
                 .max(cfg.serialization_time_ns(packet.payload.len())),
         );
-        let in_flight = self.cri.context.op_started();
-        spc.record_level(Watermark::InstancePendingOps, in_flight);
         fabric.deliver(packet, self.cri.index);
         spc.inc(Counter::MessagesSent);
         spc.add(Counter::BytesSent, wire_len as u64);
         // Eager-style local completion: the payload left the user buffer.
-        self.cri.context.post_completion(Completion {
+        let in_flight = self.drain.post_completion(Completion {
             token,
             kind: CompletionKind::SendDone,
         });
+        spc.record_level(Watermark::InstancePendingOps, in_flight);
     }
 
     /// Inject one reliability-layer frame through the armed fault plan.
@@ -155,15 +144,14 @@ impl<'a> CriGuard<'a> {
     /// Report a locally generated completion (e.g. an RMA op that finished
     /// against in-process memory) on this instance's CQ.
     pub fn post_completion(&self, completion: Completion) {
-        self.cri.context.op_started();
-        self.cri.context.post_completion(completion);
+        self.drain.post_completion(completion);
     }
 
-    /// Begin draining the bundled context's queues. Charging extraction
-    /// overhead per popped item is the caller's job (the progress engine
-    /// does it), since batch size varies.
-    pub fn begin_drain(&self) -> DrainGuard<'a> {
-        self.cri.context.begin_drain()
+    /// Drain the bundled context's queues under this guard. Charging
+    /// extraction overhead per popped item is the caller's job (the
+    /// progress engine does it), since batch size varies.
+    pub fn begin_drain(&mut self) -> &mut DrainGuard<'a> {
+        &mut self.drain
     }
 }
 
@@ -204,16 +192,21 @@ mod tests {
         }
         // Routed to dst context 1 (src ctx 1 % 2 contexts).
         let dst = fabric.context(1, 1);
-        let mut drain = dst.begin_drain();
+        let mut drain = dst.lock();
         assert_eq!(drain.pop_rx().unwrap().payload, vec![1, 2, 3]);
         drop(drain);
         // Local completion waits on the sender's own CQ.
-        let mut drain = cri.context().begin_drain();
-        let c = drain.pop_completion().unwrap();
+        assert_eq!(cri.pending_ops(), 1, "completion not yet consumed");
+        let mut guard = cri.lock(&spc);
+        let c = guard.begin_drain().pop_completion().unwrap();
         assert_eq!(c.token, 42);
         assert_eq!(spc.get(Counter::MessagesSent), 1);
         assert_eq!(spc.get(Counter::BytesSent), 28 + 3);
-        assert_eq!(cri.pending_ops(), 1, "completion not yet consumed");
+        assert_eq!(
+            cri.pending_ops(),
+            0,
+            "popping the completion retires the op"
+        );
     }
 
     #[test]

@@ -19,13 +19,17 @@
 //!
 //! Locks expose both blocking (`lock`) and **try-lock** acquisition; the
 //! latter is the enabling primitive for the concurrent progress engine
-//! (paper §III-C, §III-E).
+//! (paper §III-C, §III-E). [`Sweep`] is the one cyclic walk over a pool's
+//! instances: Algorithm 2's visit order and the failover scan for a
+//! surviving instance.
 
 mod instance;
 mod pool;
+mod sweep;
 
 pub use instance::{Cri, CriGuard};
 pub use pool::{Assignment, CriPool};
+pub use sweep::{Plan, Sweep};
 
 #[cfg(test)]
 mod tests;

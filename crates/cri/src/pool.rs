@@ -9,7 +9,7 @@ use fairmpi_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use fairmpi_fabric::{Fabric, Rank};
 use fairmpi_spc::{Counter, SpcSet};
 
-use crate::Cri;
+use crate::{Cri, Plan, Sweep};
 
 /// Strategy for assigning a CRI to a calling thread (paper §III-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,10 +165,9 @@ impl CriPool {
         if !self.failed_over[id].swap(true, Ordering::Relaxed) {
             self.spc.inc(Counter::CriFailovers);
         }
-        let n = self.instances.len();
-        let survivor = (1..n)
-            .map(|step| (id + step) % n)
-            .find(|&k| self.instances[k].is_alive())?;
+        let mut sweep = Sweep::new(self.instances.len(), Plan::From(id));
+        let survivor =
+            std::iter::from_fn(|| sweep.next(false)).find(|&k| self.instances[k].is_alive())?;
         if assignment == Assignment::Dedicated {
             // Rebind the thread-local assignment so later calls go straight
             // to the survivor instead of re-tripping over the corpse.

@@ -151,6 +151,26 @@ fn failover_rebinds_the_dedicated_instance() {
 }
 
 #[test]
+fn failover_takes_the_next_survivor_cyclically() {
+    let p = pool(5);
+    for dead in [1, 3, 4] {
+        p.instance(dead).context().kill();
+    }
+    // Round-robin draws 0 to 4: a live draw stands, and from each corpse
+    // the scan walks forward to the next survivor, wrapping past the last
+    // instance.
+    let survivors: Vec<_> = (0..5)
+        .map(|_| p.alive_instance_id(Assignment::RoundRobin))
+        .collect();
+    assert_eq!(survivors, vec![Some(0), Some(2), Some(2), Some(0), Some(0)]);
+    assert_eq!(p.spc().get(Counter::CriFailovers), 3, "each corpse once");
+    for dead in [0, 2] {
+        p.instance(dead).context().kill();
+    }
+    assert_eq!(p.alive_instance_id(Assignment::RoundRobin), None);
+}
+
+#[test]
 fn pool_size_clamps_to_available_contexts() {
     let fabric = Fabric::new(1, 4, FabricConfig::test_default());
     let p = CriPool::new(&fabric, 0, 64, Arc::new(SpcSet::new()));

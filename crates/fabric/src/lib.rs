@@ -19,9 +19,10 @@
 //!   and bandwidth, from which the theoretical peak message rate lines of
 //!   paper Figs. 6 and 7 are computed.
 //!
-//! Like real NIC resources, a context is *not* safe for concurrent draining:
-//! the layer above (the CRI layer) must protect it. Debug builds enforce this
-//! with a drain guard.
+//! Like real NIC resources, a context is *not* safe for concurrent draining.
+//! Each context carries one lock, which the CRI layer above takes as its
+//! instance lock: the lock guards the completion queue, and injecting
+//! completions and draining both go through the guard it hands out.
 
 mod config;
 mod context;

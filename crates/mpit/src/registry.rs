@@ -76,7 +76,9 @@ fn counter_desc(c: Counter) -> &'static str {
         Counter::InstanceTryLockFailures => "failed try_lock attempts on an instance",
         Counter::InstanceLockAcquisitions => "successful instance lock acquisitions",
         Counter::ProgressCalls => "calls into the progress engine",
-        Counter::CompletionsDrained => "completion events drained from completion queues",
+        Counter::CompletionsDrained => {
+            "completion events plus rx packets drained by progress passes"
+        }
         Counter::ProgressFallbackSweeps => "progress passes that swept beyond the assigned instance",
         Counter::ProgressUsefulPasses => "progress passes that produced at least one completion",
         Counter::ProgressWastedPasses => "progress passes that produced nothing",

@@ -4,12 +4,10 @@ use fairmpi_sync::Mutex;
 use std::cell::Cell;
 use std::sync::Arc;
 
-use fairmpi_cri::{Assignment, Cri, CriPool};
+use fairmpi_cri::{Assignment, Cri, CriPool, Plan, Sweep};
 use fairmpi_fabric::{busy_wait_ns, Completion, Packet};
 use fairmpi_spc::{Counter, Histogram, Watermark};
 use fairmpi_trace as trace;
-
-use crate::{Plan, Sweep};
 
 /// Which progress design is active (the Fig. 3a vs Fig. 3b axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -152,9 +150,9 @@ impl ProgressEngine {
 
     /// Try-lock one instance, extract up to the drain budget (charging
     /// extraction overhead under the lock), release, then handle the items.
-    /// Completions drain first, then packets; each queue's lock is taken
-    /// once per batch, the context's in-flight count drops once per visit,
-    /// and each kind goes to the handler as one batch.
+    /// Completions drain first, then packets. The instance lock guards the
+    /// completion queue, so a visit takes no other lock for it, and each
+    /// kind goes to the handler as one batch.
     fn drain_one<H: ProgressHandler>(&self, cri: &Arc<Cri>, handler: &H) -> usize {
         if !cri.is_alive() {
             // Quarantined by the fault plan: its CQ reports nothing ever
@@ -164,7 +162,7 @@ impl ProgressEngine {
         }
         let spc = self.pool.spc();
         let mut batch = {
-            let Some(guard) = cri.try_lock(spc) else {
+            let Some(mut guard) = cri.try_lock(spc) else {
                 // Another thread is working this instance; its progress is
                 // in good hands (paper §III-C).
                 return 0;
@@ -172,14 +170,10 @@ impl ProgressEngine {
             // Taken for the pass: a nested pass would find empty buffers
             // and use fresh ones.
             let mut batch = BATCH.take();
-            let mut drain = guard.begin_drain();
+            let drain = guard.begin_drain();
             let completions = drain.pop_completions(self.drain_budget, &mut batch.completions);
-            // A packet-only visit leaves the in-flight count alone.
-            if completions > 0 {
-                for _ in 0..completions {
-                    busy_wait_ns(self.extraction_overhead_ns);
-                }
-                drain.context().ops_finished(completions as u64);
+            for _ in 0..completions {
+                busy_wait_ns(self.extraction_overhead_ns);
             }
             let packets = drain.pop_packets(self.drain_budget - completions, &mut batch.packets);
             for _ in 0..packets {

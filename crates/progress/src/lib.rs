@@ -26,10 +26,9 @@
 //! (serialized) stage downstream of extraction.
 
 mod engine;
-mod sweep;
 
 pub use engine::{ProgressEngine, ProgressHandler, ProgressMode};
-pub use sweep::{Plan, Sweep};
+pub use fairmpi_cri::{Plan, Sweep};
 
 #[cfg(test)]
 mod tests;

@@ -77,7 +77,8 @@ pub enum Counter {
     InstanceLockAcquisitions,
     /// Calls into the progress engine.
     ProgressCalls,
-    /// Completion events drained from completion queues.
+    /// Items progress drained from instances: completion events *plus*
+    /// rx packets, so a message with one send completion reads 2.
     CompletionsDrained,
     /// Progress calls that found no completion on the dedicated instance and
     /// swept the other instances (Algorithm 2 fallback path).

@@ -28,8 +28,8 @@
 //! The three backends expose one API, so porting a crate is an import swap.
 //!
 //! The crate also carries the one lock-free queue built on these atomics,
-//! [`TicketRing`]: the offload command and completion queues and every
-//! network context's receive ring.
+//! [`TicketRing`]: the offload command queue and every network context's
+//! receive ring.
 
 mod cache_padded;
 mod primitives;

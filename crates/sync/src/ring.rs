@@ -1,5 +1,5 @@
-//! The bounded lock-free ticket ring: the offload command and completion
-//! queues, and the receive ring of every network context.
+//! The bounded lock-free ticket ring: the offload command queue and the
+//! receive ring of every network context.
 //!
 //! This is a Vyukov-style bounded MPMC ring: every slot carries a seqlock
 //! sequence word gating access, producers and consumers claim tickets with
@@ -27,8 +27,8 @@ struct Slot<T> {
     value: UnsafeCell<Option<T>>,
 }
 
-/// A bounded lock-free MPMC FIFO ring (used MPSC for offload commands, for
-/// completion notifications and for a network context's incoming packets).
+/// A bounded lock-free MPMC FIFO ring (used MPSC for offload commands and
+/// for a network context's incoming packets).
 #[derive(Debug)]
 pub struct TicketRing<T> {
     slots: Box<[CachePadded<Slot<T>>]>,
